@@ -1,5 +1,6 @@
 #include "dns/domain.hpp"
 
+#include <array>
 #include <stdexcept>
 
 #include "idna/idna.hpp"
@@ -9,26 +10,61 @@ namespace sham::dns {
 
 namespace {
 
-bool valid_label(std::string_view label) {
-  if (label.empty() || label.size() > 63) return false;
-  for (const char c : label) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '-' ||
-                    c == '_';
-    if (!ok) return false;
+/// One flat byte-class table: each byte allowed in a name maps to its
+/// lowercase form (letters, digits, '-', '_' and the '.' separator), every
+/// other byte to 0.
+constexpr std::array<char, 256> kNameBytes = [] {
+  std::array<char, 256> table{};
+  for (char c = 'a'; c <= 'z'; ++c) table[static_cast<unsigned char>(c)] = c;
+  for (char c = 'A'; c <= 'Z'; ++c) {
+    table[static_cast<unsigned char>(c)] = static_cast<char>(c - 'A' + 'a');
   }
-  return label.front() != '-' && label.back() != '-';
+  for (char c = '0'; c <= '9'; ++c) table[static_cast<unsigned char>(c)] = c;
+  table['-'] = '-';
+  table['_'] = '_';
+  table['.'] = '.';
+  return table;
+}();
+
+/// Label [begin, end) of a lowered name: 1-63 octets, no hyphen at
+/// either end.
+bool valid_label(const std::string& name, std::size_t begin, std::size_t end) {
+  const std::size_t size = end - begin;
+  return size >= 1 && size <= 63 && name[begin] != '-' && name[end - 1] != '-';
 }
 
 }  // namespace
 
-std::optional<DomainName> DomainName::parse(std::string_view text) {
+bool DomainName::assign(std::string_view text) {
   if (!text.empty() && text.back() == '.') text.remove_suffix(1);  // FQDN dot
-  if (text.empty() || text.size() > 253) return std::nullopt;
-  const std::string lowered = util::to_lower_ascii(text);
-  for (const auto label : util::split(lowered, '.')) {
-    if (!valid_label(label)) return std::nullopt;
+  if (text.empty() || text.size() > 253) {
+    name_.clear();
+    return false;
   }
-  return DomainName{lowered};
+  // Shrinking or equal-size resize keeps the buffer, so a view of this
+  // name's own characters stays valid while it is read.
+  name_.resize(text.size());
+  std::size_t label_begin = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = kNameBytes[static_cast<unsigned char>(text[i])];
+    name_[i] = c;
+    if (c == 0 || (c == '.' && !valid_label(name_, label_begin, i))) {
+      name_.clear();
+      return false;
+    }
+    if (c == '.') label_begin = i + 1;
+  }
+  if (!valid_label(name_, label_begin, name_.size())) {
+    name_.clear();
+    return false;
+  }
+  return true;
+}
+
+std::optional<DomainName> DomainName::parse(std::string_view text) {
+  DomainName name;
+  if (!name.assign(text)) return std::nullopt;
+  return name;
 }
 
 DomainName DomainName::parse_or_throw(std::string_view text) {

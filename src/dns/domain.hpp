@@ -25,6 +25,12 @@ class DomainName {
   /// Parse, throwing std::invalid_argument on violation.
   static DomainName parse_or_throw(std::string_view text);
 
+  /// parse() into this name, reusing its storage: one pass lowercases and
+  /// checks every label, with no temporary string. Returns false on
+  /// violation, leaving the name empty. `text` may view this name's own
+  /// characters.
+  bool assign(std::string_view text);
+
   [[nodiscard]] const std::string& str() const noexcept { return name_; }
   [[nodiscard]] std::vector<std::string_view> labels() const;
 
@@ -46,7 +52,6 @@ class DomainName {
   [[nodiscard]] auto operator<=>(const DomainName&) const = default;
 
  private:
-  explicit DomainName(std::string name) : name_{std::move(name)} {}
   std::string name_;
 };
 

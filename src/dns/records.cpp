@@ -1,7 +1,5 @@
 #include "dns/records.hpp"
 
-#include "util/strings.hpp"
-
 namespace sham::dns {
 
 std::string_view record_type_name(RecordType type) noexcept {
@@ -27,19 +25,25 @@ std::optional<RecordType> parse_record_type(std::string_view text) noexcept {
 }
 
 std::optional<Ipv4> Ipv4::parse(std::string_view text) {
-  const auto parts = util::split(text, '.');
-  if (parts.size() != 4) return std::nullopt;
+  // Four dot-separated octets of 1-3 decimal digits, each at most 255.
   std::uint32_t value = 0;
-  for (const auto part : parts) {
-    if (part.empty() || part.size() > 3) return std::nullopt;
-    std::uint64_t octet = 0;
-    for (const char c : part) {
-      if (c < '0' || c > '9') return std::nullopt;
-      octet = octet * 10 + static_cast<std::uint64_t>(c - '0');
+  std::size_t i = 0;
+  for (int part = 0; part < 4; ++part) {
+    if (part != 0) {
+      if (i == text.size() || text[i] != '.') return std::nullopt;
+      ++i;
     }
-    if (octet > 255) return std::nullopt;
-    value = (value << 8) | static_cast<std::uint32_t>(octet);
+    std::uint32_t octet = 0;
+    std::size_t digits = 0;
+    for (; i < text.size() && text[i] != '.'; ++i, ++digits) {
+      const char c = text[i];
+      if (c < '0' || c > '9' || digits == 3) return std::nullopt;
+      octet = octet * 10 + static_cast<std::uint32_t>(c - '0');
+    }
+    if (digits == 0 || octet > 255) return std::nullopt;
+    value = (value << 8) | octet;
   }
+  if (i != text.size()) return std::nullopt;
   return Ipv4{value};
 }
 

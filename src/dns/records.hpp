@@ -26,6 +26,18 @@ struct Ipv4 {
   [[nodiscard]] bool operator==(const Ipv4&) const = default;
 };
 
+/// A record's fields as views: what the master-file formatter
+/// (append_record in zone_file.hpp) reads. Writers that hold the fields in
+/// their own buffers build one directly, without a ResourceRecord.
+struct RecordView {
+  std::string_view owner;  // absolute, without the trailing dot
+  RecordType type = RecordType::kA;
+  std::uint32_t ttl = 86400;
+  std::string_view target;     // NS/CNAME/MX host, TXT payload
+  Ipv4 address;                // A
+  std::uint16_t priority = 0;  // MX
+};
+
 struct ResourceRecord {
   DomainName owner;
   RecordType type = RecordType::kA;
@@ -36,6 +48,9 @@ struct ResourceRecord {
   std::uint16_t priority = 0;  // MX
 
   [[nodiscard]] std::string rdata_str() const;
+  [[nodiscard]] RecordView view() const noexcept {
+    return {owner.str(), type, ttl, target, address, priority};
+  }
 
   [[nodiscard]] bool operator==(const ResourceRecord&) const = default;
 };

@@ -1,6 +1,8 @@
 #include "dns/zone_file.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <iterator>
 #include <fstream>
 
 #include "dns/zone_stream.hpp"
@@ -49,16 +51,47 @@ std::size_t parse_zone_file(const std::string& path,
   return reader.finish();
 }
 
-std::string serialize_record(const ResourceRecord& r) {
-  std::string out;
-  out += r.owner.str() + ". " + std::to_string(r.ttl) + " IN " +
-         std::string{record_type_name(r.type)} + " " + r.rdata_str();
-  if (r.type == RecordType::kNs || r.type == RecordType::kCname ||
-      r.type == RecordType::kMx) {
-    out += '.';  // absolute targets
+namespace {
+
+void append_decimal(std::string& out, std::uint32_t value) {
+  char digits[10];
+  const auto end = std::to_chars(std::begin(digits), std::end(digits), value).ptr;
+  out.append(digits, end);
+}
+
+}  // namespace
+
+void append_record(std::string& out, const RecordView& r) {
+  out += r.owner;
+  out += ". ";
+  append_decimal(out, r.ttl);
+  out += " IN ";
+  out += record_type_name(r.type);
+  out += ' ';
+  switch (r.type) {
+    case RecordType::kA:
+      for (int shift = 24; shift >= 0; shift -= 8) {
+        append_decimal(out, (r.address.value >> shift) & 0xFF);
+        if (shift != 0) out += '.';
+      }
+      break;
+    case RecordType::kMx:
+      append_decimal(out, r.priority);
+      out += ' ';
+      out += r.target;
+      out += '.';  // absolute target
+      break;
+    case RecordType::kNs:
+    case RecordType::kCname:
+      out += r.target;
+      out += '.';  // absolute target
+      break;
+    case RecordType::kAaaa:
+    case RecordType::kTxt:
+      out += r.target;
+      break;
   }
   out += '\n';
-  return out;
 }
 
 std::string serialize_zone(const Zone& zone) {
@@ -67,7 +100,7 @@ std::string serialize_zone(const Zone& zone) {
     out += "$ORIGIN " + zone.origin.str() + ".\n";
   }
   out += "$TTL " + std::to_string(zone.default_ttl) + "\n";
-  for (const auto& r : zone.records) out += serialize_record(r);
+  for (const auto& r : zone.records) append_record(out, r.view());
   return out;
 }
 

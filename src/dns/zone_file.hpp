@@ -48,11 +48,11 @@ class ZoneParseError : public std::runtime_error {
 void parse_zone_stream(std::string_view text,
                        const std::function<void(const ResourceRecord&)>& sink);
 
-/// Serialize one record as a master-file line (absolute owner/target,
-/// explicit TTL and class) — the building block of serialize_zone, public
-/// so zone writers can stream records to disk without materialising the
-/// zone text.
-[[nodiscard]] std::string serialize_record(const ResourceRecord& record);
+/// Append one record as a master-file line (absolute owner/target,
+/// explicit TTL and class) — the one record formatter: serialize_zone and
+/// the streaming generator (internet::ZoneTextStream) both write through
+/// it, into a buffer whose capacity the caller keeps.
+void append_record(std::string& out, const RecordView& record);
 
 /// Serialize back to master-file text (round-trips with parse_zone).
 [[nodiscard]] std::string serialize_zone(const Zone& zone);

@@ -1,12 +1,43 @@
 #include "dns/zone_stream.hpp"
 
+#include <array>
+#include <charconv>
 #include <limits>
-
-#include "util/strings.hpp"
 
 namespace sham::dns {
 
 namespace {
+
+/// Whitespace as isspace() reads it in the C locale.
+bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r';
+}
+
+/// A record line reads at most six tokens (owner, TTL, class, type and two
+/// rdata fields); any beyond kMaxTokens are never looked at.
+constexpr std::size_t kMaxTokens = 8;
+using Tokens = std::array<std::string_view, kMaxTokens>;
+
+/// Split `line` on runs of whitespace into `tokens`, stopping once the
+/// array is full. Returns the token count.
+std::size_t tokenize(std::string_view line, Tokens& tokens) {
+  std::size_t count = 0;
+  std::size_t i = 0;
+  while (count < kMaxTokens) {
+    while (i < line.size() && is_space(line[i])) ++i;
+    if (i == line.size()) break;
+    const std::size_t start = i;
+    while (i < line.size() && !is_space(line[i])) ++i;
+    tokens[count++] = line.substr(start, i - start);
+  }
+  return count;
+}
+
+void fold_ascii(std::string& text) {
+  for (auto& c : text) {
+    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+  }
+}
 
 /// Parse a non-negative decimal token, rejecting values above `max` with
 /// a diagnostic naming `what` — registry feeds with corrupted TTL or
@@ -14,9 +45,9 @@ namespace {
 std::uint64_t parse_bounded(std::string_view token, std::uint64_t max,
                             const char* what, std::size_t line_no) {
   std::uint64_t value = 0;
-  try {
-    value = util::parse_u64(token);
-  } catch (const std::invalid_argument&) {
+  const auto* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc{} || ptr != end) {
     throw ZoneParseError{line_no, std::string{"bad "} + what + " value: '" +
                                       std::string{token} + "'"};
   }
@@ -37,32 +68,33 @@ ZoneStreamReader::ZoneStreamReader(Sink sink) : sink_{std::move(sink)} {}
 // absolute. "$ORIGIN ." (the DNS root) makes relative names absolute
 // as-is; the root itself ("@" under it, or a bare ".") is not a
 // registrable name and is rejected with a diagnostic instead of being
-// collapsed to an empty string.
-namespace {
-
-std::string resolve_name(std::string_view token, const std::string& origin,
-                         bool origin_seen, std::size_t line_no) {
+// collapsed to an empty string. So is a name with an empty label
+// ("a..b", ".a", or "a.." — one trailing dot marks the name absolute,
+// a second would be an empty last label). The result views the token,
+// the origin, or joined_; its case is left as written.
+std::string_view ZoneStreamReader::resolve_name(std::string_view token) {
   if (token == "@") {
-    if (!origin_seen) throw ZoneParseError{line_no, "'@' without $ORIGIN"};
-    if (origin.empty()) {
-      throw ZoneParseError{line_no, "'@' under '$ORIGIN .' names the DNS root"};
+    if (!origin_seen_) throw ZoneParseError{line_no_, "'@' without $ORIGIN"};
+    if (origin_.empty()) {
+      throw ZoneParseError{line_no_, "'@' under '$ORIGIN .' names the DNS root"};
     }
-    return origin;
+    return origin_;
   }
   if (token == ".") {
-    throw ZoneParseError{line_no, "the DNS root '.' is not a valid name here"};
+    throw ZoneParseError{line_no_, "the DNS root '.' is not a valid name here"};
   }
-  std::string name{token};
-  if (!name.empty() && name.back() == '.') {
-    name.pop_back();
-  } else if (origin_seen && !origin.empty()) {
-    name += '.';
-    name += origin;
+  const bool absolute = token.back() == '.';
+  const auto name = absolute ? token.substr(0, token.size() - 1) : token;
+  if (name.front() == '.' || name.back() == '.' ||
+      name.find("..") != std::string_view::npos) {
+    throw ZoneParseError{line_no_, "empty label in name '" + std::string{token} + "'"};
   }
-  return util::to_lower_ascii(name);
+  if (absolute || !origin_seen_ || origin_.empty()) return name;
+  joined_.assign(name);
+  joined_ += '.';
+  joined_ += origin_;
+  return joined_;
 }
-
-}  // namespace
 
 void ZoneStreamReader::process_line(std::string_view raw_line) {
   ++line_no_;
@@ -79,11 +111,12 @@ void ZoneStreamReader::process_line(std::string_view raw_line) {
     line = line.substr(0, semi);
   }
   const bool owner_continuation = !line.empty() && (line[0] == ' ' || line[0] == '\t');
-  const auto tokens = util::split_ws(line);
-  if (tokens.empty()) return;
+  Tokens tokens;
+  const std::size_t count = tokenize(line, tokens);
+  if (count == 0) return;
 
   if (tokens[0] == "$ORIGIN") {
-    if (tokens.size() != 2) throw ZoneParseError{line_no, "$ORIGIN needs a name"};
+    if (count != 2) throw ZoneParseError{line_no, "$ORIGIN needs a name"};
     if (tokens[1] == ".") {
       // The absolute root: relative names below are already fully
       // qualified. Tracked as the empty origin.
@@ -98,40 +131,39 @@ void ZoneStreamReader::process_line(std::string_view raw_line) {
     return;
   }
   if (tokens[0] == "$TTL") {
-    if (tokens.size() != 2) throw ZoneParseError{line_no, "$TTL needs a value"};
+    if (count != 2) throw ZoneParseError{line_no, "$TTL needs a value"};
     default_ttl_ = static_cast<std::uint32_t>(parse_bounded(
         tokens[1], std::numeric_limits<std::uint32_t>::max(), "$TTL", line_no));
     return;
   }
 
+  // A continuation line keeps record_.owner, the previous owner.
   std::size_t i = 0;
-  std::string owner;
+  std::string_view owner;
   if (owner_continuation) {
-    if (last_owner_.empty()) throw ZoneParseError{line_no, "record without owner"};
-    owner = last_owner_;
+    if (!has_owner_) throw ZoneParseError{line_no, "record without owner"};
   } else {
-    owner = resolve_name(tokens[i++], origin_, origin_seen_, line_no);
-    last_owner_ = owner;
+    owner = resolve_name(tokens[i++]);
   }
-
-  if (i >= tokens.size()) throw ZoneParseError{line_no, "missing record type"};
-
-  ResourceRecord record;
-  const auto parsed_owner = DomainName::parse(owner);
-  if (!parsed_owner) throw ZoneParseError{line_no, "bad owner name: " + owner};
-  record.owner = *parsed_owner;
-  record.ttl = default_ttl_;
+  if (i >= count) throw ZoneParseError{line_no, "missing record type"};
+  if (!owner_continuation) {
+    has_owner_ = record_.owner.assign(owner);
+    if (!has_owner_) throw ZoneParseError{line_no, "bad owner name: " + std::string{owner}};
+  }
+  record_.ttl = default_ttl_;
+  record_.target.clear();
+  record_.address = {};
+  record_.priority = 0;
 
   // Optional TTL and/or class ("IN") in either order before the type.
-  for (int guard = 0; guard < 2 && i < tokens.size(); ++guard) {
+  for (int guard = 0; guard < 2 && i < count; ++guard) {
     const auto token = tokens[i];
     if (token == "IN") {
       ++i;
       continue;
     }
-    if (!token.empty() && token[0] >= '0' && token[0] <= '9' &&
-        !parse_record_type(token)) {
-      record.ttl = static_cast<std::uint32_t>(parse_bounded(
+    if (token[0] >= '0' && token[0] <= '9' && !parse_record_type(token)) {
+      record_.ttl = static_cast<std::uint32_t>(parse_bounded(
           token, std::numeric_limits<std::uint32_t>::max(), "TTL", line_no));
       ++i;
       continue;
@@ -139,43 +171,45 @@ void ZoneStreamReader::process_line(std::string_view raw_line) {
     break;
   }
 
-  if (i >= tokens.size()) throw ZoneParseError{line_no, "missing record type"};
+  if (i >= count) throw ZoneParseError{line_no, "missing record type"};
   const auto type = parse_record_type(tokens[i]);
   if (!type) throw ZoneParseError{line_no, "unknown record type: " + std::string{tokens[i]}};
-  record.type = *type;
+  record_.type = *type;
   ++i;
 
-  switch (record.type) {
+  switch (record_.type) {
     case RecordType::kA: {
-      if (i >= tokens.size()) throw ZoneParseError{line_no, "A record needs an address"};
+      if (i >= count) throw ZoneParseError{line_no, "A record needs an address"};
       const auto addr = Ipv4::parse(tokens[i]);
       if (!addr) throw ZoneParseError{line_no, "bad IPv4 address"};
-      record.address = *addr;
+      record_.address = *addr;
       break;
     }
     case RecordType::kMx: {
-      if (i + 1 >= tokens.size()) throw ZoneParseError{line_no, "MX needs priority + host"};
-      record.priority = static_cast<std::uint16_t>(parse_bounded(
+      if (i + 1 >= count) throw ZoneParseError{line_no, "MX needs priority + host"};
+      record_.priority = static_cast<std::uint16_t>(parse_bounded(
           tokens[i], std::numeric_limits<std::uint16_t>::max(), "MX priority",
           line_no));
-      record.target = resolve_name(tokens[i + 1], origin_, origin_seen_, line_no);
+      record_.target.assign(resolve_name(tokens[i + 1]));
+      fold_ascii(record_.target);
       break;
     }
     case RecordType::kNs:
     case RecordType::kCname: {
-      if (i >= tokens.size()) throw ZoneParseError{line_no, "record needs a target"};
-      record.target = resolve_name(tokens[i], origin_, origin_seen_, line_no);
+      if (i >= count) throw ZoneParseError{line_no, "record needs a target"};
+      record_.target.assign(resolve_name(tokens[i]));
+      fold_ascii(record_.target);
       break;
     }
     case RecordType::kAaaa:
     case RecordType::kTxt: {
-      if (i >= tokens.size()) throw ZoneParseError{line_no, "record needs rdata"};
-      record.target = std::string{tokens[i]};
+      if (i >= count) throw ZoneParseError{line_no, "record needs rdata"};
+      record_.target.assign(tokens[i]);
       break;
     }
   }
   ++records_;
-  sink_(record);
+  sink_(record_);
 }
 
 void ZoneStreamReader::feed(std::string_view chunk) {

@@ -25,7 +25,10 @@ class ZoneStreamReader {
  public:
   using Sink = std::function<void(const ResourceRecord&)>;
 
-  /// `sink` is invoked once per parsed record, in file order.
+  /// `sink` is invoked once per parsed record, in file order. The record
+  /// is the reader's own, reused for the next line: copy what must outlive
+  /// the call. Buffers keep their capacity, so a steady-state line costs
+  /// no allocation.
   explicit ZoneStreamReader(Sink sink);
 
   /// Consume the next chunk of zone text. Chunks may be any size (one
@@ -57,12 +60,18 @@ class ZoneStreamReader {
 
  private:
   void process_line(std::string_view raw_line);
+  [[nodiscard]] std::string_view resolve_name(std::string_view token);
 
   Sink sink_;
   std::string origin_;
   bool origin_seen_ = false;
   std::uint32_t default_ttl_ = 86400;
-  std::string last_owner_;
+  /// The one record handed to the sink, refilled per line; its owner is
+  /// the previous owner that blank-owner continuation lines repeat.
+  ResourceRecord record_;
+  bool has_owner_ = false;
+  /// Origin-relative names joined to $ORIGIN (resolve_name).
+  std::string joined_;
   /// Partial final line of the previous chunk, awaiting its newline.
   std::string pending_;
   std::size_t line_no_ = 0;

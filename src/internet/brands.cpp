@@ -1,6 +1,9 @@
 #include "internet/brands.hpp"
 
+#include <array>
+#include <span>
 #include <stdexcept>
+#include <string_view>
 #include <unordered_set>
 
 namespace sham::internet {
@@ -50,23 +53,30 @@ const std::vector<std::string>& well_known_brands() {
   return brands;
 }
 
-std::string synthetic_label(util::Rng& rng) {
-  static const std::vector<std::string> onsets{
+void append_synthetic_label(util::Rng& rng, std::string& out) {
+  static constexpr std::array<std::string_view, 30> kOnsets{
       "b", "c", "d", "f", "g", "h", "j", "k", "l", "m", "n", "p", "r", "s",
       "t", "v", "w", "z", "br", "ch", "cl", "dr", "fl", "gr", "pl", "pr",
       "sh", "sl", "st", "tr",
   };
-  static const std::vector<std::string> vowels{"a", "e", "i", "o", "u", "ai",
-                                               "ea", "io", "oo", "ou"};
-  static const std::vector<std::string> codas{"", "", "", "n", "r", "s", "t",
-                                              "l", "x", "ck", "nd", "st"};
+  static constexpr std::array<std::string_view, 10> kVowels{
+      "a", "e", "i", "o", "u", "ai", "ea", "io", "oo", "ou"};
+  static constexpr std::array<std::string_view, 12> kCodas{
+      "", "", "", "n", "r", "s", "t", "l", "x", "ck", "nd", "st"};
+  const auto pick = [&](std::span<const std::string_view> table) {
+    out += rng.pick(table);
+  };
   const int syllables = 2 + static_cast<int>(rng.below(3));
-  std::string label;
   for (int s = 0; s < syllables; ++s) {
-    label += rng.pick(onsets);
-    label += rng.pick(vowels);
-    if (s + 1 == syllables) label += rng.pick(codas);
+    pick(kOnsets);
+    pick(kVowels);
+    if (s + 1 == syllables) pick(kCodas);
   }
+}
+
+std::string synthetic_label(util::Rng& rng) {
+  std::string label;
+  append_synthetic_label(rng, label);
   return label;
 }
 

@@ -16,7 +16,11 @@ namespace sham::internet {
 /// myetherwallet, allstate, gmail, yahoo, youtube, binance, ...).
 [[nodiscard]] const std::vector<std::string>& well_known_brands();
 
-/// Deterministic pronounceable label (syllable-based), 4-16 chars.
+/// Deterministic pronounceable label (syllable-based), 4-16 chars,
+/// appended to `out` (no allocation once `out` has the capacity).
+void append_synthetic_label(util::Rng& rng, std::string& out);
+
+/// append_synthetic_label into a fresh string.
 [[nodiscard]] std::string synthetic_label(util::Rng& rng);
 
 /// Build a ranked reference list of `count` names: the curated brands

@@ -1,7 +1,10 @@
 #include "internet/scenario.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <iterator>
 #include <stdexcept>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -500,13 +503,21 @@ HostState benign_host_for(const ScenarioCore& core, std::string_view ace) {
   return benign_host_state(rng, false, 0);
 }
 
-std::string filler_label_at(const ScenarioCore& core, std::size_t index) {
+void append_filler_label(const ScenarioCore& core, std::size_t index,
+                         std::string& out) {
   auto rng = index_rng(core.filler_seed, index);
-  auto label = synthetic_label(rng);
+  append_synthetic_label(rng, out);
   // The decimal index suffix makes filler labels unique by construction
   // (see the header); no cross-path uniqueness set is required.
-  label += '-';
-  label += std::to_string(index);
+  out += '-';
+  char digits[20];
+  const auto end = std::to_chars(std::begin(digits), std::end(digits), index).ptr;
+  out.append(digits, end);
+}
+
+std::string filler_label_at(const ScenarioCore& core, std::size_t index) {
+  std::string label;
+  append_filler_label(core, index, label);
   return label;
 }
 
@@ -517,40 +528,50 @@ SourceMembership membership_at(const ScenarioCore& core, std::size_t index) {
   return {.zone = in_zone || !in_dl, .domainlists = in_dl || !in_zone};
 }
 
-void append_domain_records(const dns::DomainName& domain, const HostState* host,
-                           std::string_view tld,
-                           std::vector<dns::ResourceRecord>& out) {
+void relabel_owner(const dns::DomainName& domain, std::string_view tld,
+                   std::string& scratch, dns::DomainName& owner) {
   // World state is keyed by the generated .com names; the relabel swaps
-  // the TLD on the emitted owner (and in-zone MX target) only.
-  const auto owner =
-      tld == "com" ? domain
-                   : dns::DomainName::parse_or_throw(
-                         std::string{domain.without_tld()} + "." + std::string{tld});
+  // the TLD on the emitted owner (and so the in-zone MX target) only.
+  if (tld == "com") {
+    owner = domain;
+    return;
+  }
+  scratch.assign(domain.without_tld());
+  scratch += '.';
+  scratch += tld;
+  if (!owner.assign(scratch)) {
+    throw std::invalid_argument{"DomainName: invalid name: '" + scratch + "'"};
+  }
+}
 
-  dns::ResourceRecord ns;
-  ns.owner = owner;
-  ns.type = dns::RecordType::kNs;
-  ns.target = host != nullptr && !host->ns_host.empty() ? host->ns_host
-                                                        : "ns1.registrar-default.net";
-  if (host == nullptr || host->has_ns) out.push_back(std::move(ns));
-
+DelegationRecords delegation_records(std::string_view com_name, const HostState* host,
+                                     std::string_view owner, std::string& mx_target) {
+  DelegationRecords out;
+  const auto add = [&](dns::RecordType type) -> dns::RecordView& {
+    auto& record = out.records[out.count++];
+    record.owner = owner;
+    record.type = type;
+    return record;
+  };
+  if (host == nullptr || host->has_ns) {
+    add(dns::RecordType::kNs).target = host != nullptr && !host->ns_host.empty()
+                                           ? std::string_view{host->ns_host}
+                                           : "ns1.registrar-default.net";
+  }
   if (host != nullptr && host->has_a) {
-    dns::ResourceRecord a;
-    a.owner = owner;
-    a.type = dns::RecordType::kA;
     // Deterministic documentation-range address derived from the name.
-    const auto h = std::hash<std::string>{}(domain.str());
-    a.address = dns::Ipv4{0xCB007100u | static_cast<std::uint32_t>(h % 250)};
-    out.push_back(std::move(a));
+    const auto h = std::hash<std::string_view>{}(com_name);
+    add(dns::RecordType::kA).address =
+        dns::Ipv4{0xCB007100u | static_cast<std::uint32_t>(h % 250)};
   }
   if (host != nullptr && host->has_mx) {
-    dns::ResourceRecord mx;
-    mx.owner = owner;
-    mx.type = dns::RecordType::kMx;
+    mx_target.assign("mx.");
+    mx_target += owner;
+    auto& mx = add(dns::RecordType::kMx);
     mx.priority = 10;
-    mx.target = "mx." + owner.str();
-    out.push_back(std::move(mx));
+    mx.target = mx_target;
   }
+  return out;
 }
 
 Scenario generate_scenario(const homoglyph::HomoglyphDb& db,
@@ -614,11 +635,23 @@ dns::Zone scenario_to_zone(const Scenario& scenario, int which,
   zone.origin = dns::DomainName::parse_or_throw(tld);
   zone.default_ttl = 172800;  // registry zones commonly use 2 days
 
+  std::string scratch;
+  std::string mx_target;
+  dns::DomainName owner;
   const auto emit = [&](std::uint32_t index) {
     const auto domain = dns::DomainName::parse(scenario.domains[index]);
     if (!domain) return;
-    const auto* host = scenario.world.lookup(*domain);
-    append_domain_records(*domain, host, tld, zone.records);
+    relabel_owner(*domain, tld, scratch, owner);
+    const auto records = delegation_records(domain->str(), scenario.world.lookup(*domain),
+                                            owner.str(), mx_target);
+    for (const auto& r : records.view()) {
+      zone.records.push_back({.owner = owner,
+                              .type = r.type,
+                              .ttl = r.ttl,
+                              .target = std::string{r.target},
+                              .address = r.address,
+                              .priority = r.priority});
+    }
   };
 
   if (which == 0) {

@@ -22,7 +22,9 @@
 // collision is possible and no uniqueness set is needed.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -78,7 +80,12 @@ struct ScenarioCore {
 [[nodiscard]] HostState benign_host_for(const ScenarioCore& core,
                                         std::string_view ace);
 
-/// ASCII filler label for population index `index` (>= head_count()).
+/// ASCII filler label for population index `index` (>= head_count()),
+/// appended to `out` (no allocation once `out` has the capacity).
+void append_filler_label(const ScenarioCore& core, std::size_t index,
+                         std::string& out);
+
+/// append_filler_label into a fresh string.
 [[nodiscard]] std::string filler_label_at(const ScenarioCore& core,
                                           std::size_t index);
 
@@ -93,12 +100,32 @@ struct SourceMembership {
 [[nodiscard]] SourceMembership membership_at(const ScenarioCore& core,
                                              std::size_t index);
 
-/// Append the registry records scenario_to_zone emits for one registered
-/// name: `domain` is the world-keyed ".com" name, `host` its world state
-/// (null = bare delegation), `tld` relabels the emitted owner and in-zone
-/// MX target. Shared by the materializing and streaming zone writers.
-void append_domain_records(const dns::DomainName& domain, const HostState* host,
-                           std::string_view tld,
-                           std::vector<dns::ResourceRecord>& out);
+/// `domain`, a world-keyed ".com" name, relabelled under `tld` into
+/// `owner`: its ".com" suffix swapped for ".<tld>" (joined in `scratch`).
+/// Both buffers keep their capacity. Throws std::invalid_argument if the
+/// result is not a valid name.
+void relabel_owner(const dns::DomainName& domain, std::string_view tld,
+                   std::string& scratch, dns::DomainName& owner);
+
+/// The registry records of one delegation, in zone order: at most NS, A
+/// and MX.
+struct DelegationRecords {
+  std::array<dns::RecordView, 3> records;
+  std::size_t count = 0;
+  [[nodiscard]] std::span<const dns::RecordView> view() const noexcept {
+    return {records.data(), count};
+  }
+};
+
+/// Decide the records a registered name gets — the one place that does,
+/// shared by the materializing (scenario_to_zone) and streaming
+/// (ZoneTextStream) zone writers. `com_name` is the world-keyed ".com"
+/// name, `host` its world state (null = bare delegation), `owner` the
+/// emitted owner (relabel_owner). The MX target "mx.<owner>" is written
+/// into `mx_target`, which the returned views reference.
+[[nodiscard]] DelegationRecords delegation_records(std::string_view com_name,
+                                                   const HostState* host,
+                                                   std::string_view owner,
+                                                   std::string& mx_target);
 
 }  // namespace sham::internet

@@ -46,7 +46,11 @@ bool SimulatedInternet::is_registered(const dns::DomainName& domain) const {
 }
 
 const HostState* SimulatedInternet::lookup(const dns::DomainName& domain) const {
-  const auto it = hosts_.find(domain);
+  return lookup(std::string_view{domain.str()});
+}
+
+const HostState* SimulatedInternet::lookup(std::string_view name) const {
+  const auto it = hosts_.find(name);
   return it == hosts_.end() ? nullptr : &it->second;
 }
 

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -42,6 +43,9 @@ class SimulatedInternet {
 
   [[nodiscard]] bool is_registered(const dns::DomainName& domain) const;
   [[nodiscard]] const HostState* lookup(const dns::DomainName& domain) const;
+  /// Lookup by the name's text (lowercase, no trailing dot), with no
+  /// DomainName built.
+  [[nodiscard]] const HostState* lookup(std::string_view name) const;
   [[nodiscard]] std::size_t domain_count() const noexcept { return hosts_.size(); }
 
   /// Registered domains, ascending.
@@ -50,7 +54,20 @@ class SimulatedInternet {
   HostState& state_for_update(const dns::DomainName& domain);
 
  private:
-  std::unordered_map<dns::DomainName, HostState> hosts_;
+  /// Hashes and compares a DomainName as its text, so string_view keys
+  /// find entries too (the same hash values as std::hash<DomainName>).
+  struct NameKey {
+    using is_transparent = void;
+    static std::string_view text(const dns::DomainName& d) noexcept { return d.str(); }
+    static std::string_view text(std::string_view s) noexcept { return s; }
+    std::size_t operator()(const auto& key) const noexcept {
+      return std::hash<std::string_view>{}(text(key));
+    }
+    bool operator()(const auto& a, const auto& b) const noexcept {
+      return text(a) == text(b);
+    }
+  };
+  std::unordered_map<dns::DomainName, HostState, NameKey, NameKey> hosts_;
 };
 
 /// --- Query services (the measurement pipeline's view of the world) ---

@@ -24,50 +24,49 @@ ZoneTextStream::ZoneTextStream(const homoglyph::HomoglyphDb& db,
 void ZoneTextStream::append_domain(std::size_t index, std::string& out) {
   const std::size_t n_refs = core_.references.size();
   const std::size_t n_attacks = core_.attacks.size();
-  const std::string* sld = nullptr;
-  std::string benign_sld;
   bool benign = false;
-  std::string filler_sld;
   if (index < n_refs) {
-    sld = &core_.references[index];
+    com_text_.assign(core_.references[index]);
   } else if (index < n_refs + n_attacks) {
-    sld = &core_.attacks[index - n_refs].ace;
+    com_text_.assign(core_.attacks[index - n_refs].ace);
   } else if (index < core_.head_count()) {
-    benign_sld = benign_idn_at(core_, index - n_refs - n_attacks).ace;
-    sld = &benign_sld;
+    com_text_.assign(benign_idn_at(core_, index - n_refs - n_attacks).ace);
     benign = true;
   } else {
-    filler_sld = filler_label_at(core_, index);
-    sld = &filler_sld;
+    com_text_.clear();
+    append_filler_label(core_, index, com_text_);
   }
-
-  const auto domain = dns::DomainName::parse(*sld + ".com");
-  if (!domain) return;  // mirrors scenario_to_zone's skip
+  const std::size_t sld_size = com_text_.size();
+  com_text_ += ".com";
+  if (!com_name_.assign(com_text_)) return;  // mirrors scenario_to_zone's skip
 
   const HostState* host = nullptr;
   HostState benign_state;
   if (core_.config.build_world) {
-    host = core_.head_world.lookup(*domain);
+    host = core_.head_world.lookup(std::string_view{com_name_.str()});
     if (host == nullptr && benign) {
       // Keep-first: an ACE colliding with an attack (or an earlier
       // duplicate benign sample, same pure-function state) resolved to
       // the head-world entry above; fresh benign names get their
       // ACE-keyed state here.
-      benign_state = benign_host_for(core_, *sld);
+      benign_state =
+          benign_host_for(core_, std::string_view{com_text_}.substr(0, sld_size));
       host = &benign_state;
     }
   }
 
-  scratch_.clear();
-  append_domain_records(*domain, host, options_.tld, scratch_);
-  for (const auto& record : scratch_) out += dns::serialize_record(record);
-  stats_.records += scratch_.size();
+  relabel_owner(com_name_, options_.tld, owner_text_, owner_);
+  const auto records = delegation_records(com_name_.str(), host, owner_.str(), mx_target_);
+  for (const auto& record : records.view()) dns::append_record(out, record);
+  stats_.records += records.count;
   ++stats_.domains_emitted;
 }
 
 bool ZoneTextStream::next_chunk(std::string& out) {
   out.clear();
   const std::size_t target = std::max<std::size_t>(1, options_.chunk_bytes);
+  // One domain's records overshoot the target by well under this.
+  out.reserve(target + 4096);
   const std::size_t start_cursor = cursor_;
   const bool had_header = !header_.empty();
   if (had_header) {

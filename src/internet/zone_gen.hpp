@@ -50,7 +50,8 @@ class ZoneTextStream {
 
   /// Fill `out` with the next chunk of master-file text (the first chunk
   /// starts with the $ORIGIN/$TTL header). Returns false when the zone is
-  /// exhausted, leaving `out` empty.
+  /// exhausted, leaving `out` empty. Record lines are written straight
+  /// into `out`; pass the same string back to keep its capacity.
   bool next_chunk(std::string& out);
 
   [[nodiscard]] const ScenarioCore& core() const noexcept { return core_; }
@@ -65,9 +66,16 @@ class ZoneTextStream {
   ScenarioCore core_;
   ZoneGenOptions options_;
   ZoneGenStats stats_;
-  std::string header_;                         // pending $ORIGIN/$TTL text
-  std::vector<dns::ResourceRecord> scratch_;   // per-domain record buffer
-  std::size_t cursor_ = 0;                     // next population index
+  std::string header_;     // pending $ORIGIN/$TTL text
+  std::size_t cursor_ = 0;  // next population index
+  // Per-domain scratch, reused so that a steady-state domain costs no
+  // allocation: the "<sld>.com" text, the validated .com name, the
+  // relabelled owner (and its join buffer), and the MX target.
+  std::string com_text_;
+  dns::DomainName com_name_;
+  std::string owner_text_;
+  dns::DomainName owner_;
+  std::string mx_target_;
 };
 
 /// One-shot convenience: concatenate every chunk (materializes the text —

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <deque>
 #include <exception>
 #include <fstream>
 #include <mutex>
@@ -15,9 +14,11 @@
 #include "db/artifact.hpp"
 #include "dns/zone_file.hpp"
 #include "dns/zone_stream.hpp"
+#include "idna/idna.hpp"
 #include "unicode/confusables.hpp"
 #include "util/json.hpp"
 #include "util/stopwatch.hpp"
+#include "util/strings.hpp"
 
 namespace sham::measure {
 
@@ -93,31 +94,47 @@ void append_verdicts(std::vector<Verdict>& out, std::span<const detect::Match> m
 /// Bounded MPSC/SPMC hand-off buffer: push blocks while full (the
 /// backpressure that keeps producer memory bounded), pop blocks while
 /// empty. close() drains remaining items to the consumers; abort() drops
-/// everything and unblocks both sides (failure propagation).
+/// everything and unblocks both sides (failure propagation). Items live in
+/// a fixed ring of slots, so the queue itself never allocates after
+/// construction.
 template <typename T>
 class BoundedQueue {
  public:
   explicit BoundedQueue(std::size_t capacity)
-      : capacity_{std::max<std::size_t>(1, capacity)} {}
+      : slots_(std::max<std::size_t>(1, capacity)) {}
 
   /// False when the queue was aborted (a consumer failed).
   bool push(T item) {
     std::unique_lock lock{mutex_};
-    not_full_.wait(lock, [&] { return items_.size() < capacity_ || aborted_; });
+    not_full_.wait(lock, [&] { return size_ < slots_.size() || aborted_; });
     if (aborted_) return false;
-    items_.push_back(std::move(item));
-    not_empty_.notify_one();
+    put(std::move(item));
     return true;
   }
 
   /// False when closed-and-drained or aborted.
   bool pop(T& out) {
     std::unique_lock lock{mutex_};
-    not_empty_.wait(lock, [&] { return !items_.empty() || closed_ || aborted_; });
-    if (aborted_ || items_.empty()) return false;
-    out = std::move(items_.front());
-    items_.pop_front();
-    not_full_.notify_one();
+    not_empty_.wait(lock, [&] { return size_ != 0 || closed_ || aborted_; });
+    if (aborted_ || size_ == 0) return false;
+    take(out);
+    return true;
+  }
+
+  /// Non-blocking push; false (leaving `item` as it was) when full or
+  /// aborted.
+  bool try_push(T& item) {
+    std::lock_guard lock{mutex_};
+    if (aborted_ || size_ == slots_.size()) return false;
+    put(std::move(item));
+    return true;
+  }
+
+  /// Non-blocking pop; false when empty or aborted.
+  bool try_pop(T& out) {
+    std::lock_guard lock{mutex_};
+    if (aborted_ || size_ == 0) return false;
+    take(out);
     return true;
   }
 
@@ -135,8 +152,22 @@ class BoundedQueue {
   }
 
  private:
-  std::size_t capacity_;
-  std::deque<T> items_;
+  void put(T&& item) {
+    slots_[(head_ + size_) % slots_.size()] = std::move(item);
+    ++size_;
+    not_empty_.notify_one();
+  }
+
+  void take(T& out) {
+    out = std::move(slots_[head_]);
+    head_ = (head_ + 1) % slots_.size();
+    --size_;
+    not_full_.notify_one();
+  }
+
+  std::vector<T> slots_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
   std::mutex mutex_;
   std::condition_variable not_full_;
   std::condition_variable not_empty_;
@@ -152,25 +183,31 @@ class IdnBatcher {
   IdnBatcher(std::string tld, const StreamOptions& options,
              const std::function<void(std::span<const detect::IdnEntry>)>& on_batch)
       : tld_{std::move(tld)},
+        suffix_{"." + tld_},
         options_{&options},
         on_batch_{&on_batch},
         cap_{std::max<std::size_t>(1, options.batch_size)} {}
 
   void record(const dns::ResourceRecord& r) {
     ++stats_.records;
-    auto owner = r.owner.str();
+    const auto& owner = r.owner.str();
     // Registry zones group a delegation's records under one owner, so a
     // consecutive-duplicate check deduplicates almost everything; stray
     // repeats are harmless (verdicts are deduplicated canonically).
     if (owner == last_owner_) return;
-    last_owner_ = std::move(owner);
+    last_owner_.assign(owner);  // keeps the capacity: no allocation
     ++stats_.domains;
-    pending_.push_back(last_owner_);
-    if (pending_.size() >= cap_) extract_pending();
+    // extract_idns keeps only owners whose label under the TLD is an
+    // A-label; queue just those (under 1% of a registry zone).
+    if (util::ends_with(owner, suffix_) &&
+        idna::is_a_label(std::string_view{owner}.substr(0, owner.size() - suffix_.size()))) {
+      pending_.push_back(owner);
+      if (pending_.size() >= cap_) extract_pending();
+    }
     if (options_->progress_interval != 0 && options_->on_progress &&
         stats_.domains % options_->progress_interval == 0) {
-      // idns includes the extracted-but-undelivered tail so the progress
-      // line doesn't lag by a whole batch.
+      // Extract first so the progress line counts every IDN seen so far.
+      extract_pending();
       options_->on_progress({stats_.domains, stats_.idns + batch_.size(),
                              stats_.records, resident_kib()});
     }
@@ -202,6 +239,7 @@ class IdnBatcher {
   }
 
   std::string tld_;
+  std::string suffix_;  // "." + tld_
   const StreamOptions* options_;
   const std::function<void(std::span<const detect::IdnEntry>)>* on_batch_;
   std::size_t cap_;
@@ -236,15 +274,20 @@ ZoneStreamStats stream_generated_idns(
     const StreamOptions& options,
     const std::function<void(std::span<const detect::IdnEntry>)>& on_batch) {
   BoundedQueue<std::string> ring{gen.ring_chunks};
+  // Parsed chunks travel back to the generator for reuse, so no chunk
+  // buffer is allocated once the ring is primed. Room for every buffer
+  // in flight: the ring's, plus one on each side.
+  BoundedQueue<std::string> spare{gen.ring_chunks + 2};
   std::exception_ptr generator_error;  // written before abort(), read after join
 
   std::thread generator{[&] {
     try {
       internet::ZoneTextStream stream{db, gen.scenario, gen.zone};
       std::string chunk;
-      while (stream.next_chunk(chunk)) {
+      for (;;) {
+        spare.try_pop(chunk);  // else keep the moved-from (empty) string
+        if (!stream.next_chunk(chunk)) break;
         if (!ring.push(std::move(chunk))) return;  // consumer aborted
-        chunk.clear();
       }
       ring.close();
     } catch (...) {
@@ -260,7 +303,10 @@ ZoneStreamStats stream_generated_idns(
     dns::ZoneStreamReader reader{
         [&](const dns::ResourceRecord& r) { batcher.record(r); }};
     std::string chunk;
-    while (ring.pop(chunk)) reader.feed(chunk);
+    while (ring.pop(chunk)) {
+      reader.feed(chunk);
+      spare.try_push(chunk);
+    }
     reader.finish();
     stats = batcher.finish();
   } catch (...) {

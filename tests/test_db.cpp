@@ -19,6 +19,7 @@
 #include "font/synthetic_font.hpp"
 #include "kernels/kernels.hpp"
 #include "simchar/simchar.hpp"
+#include "temp_dir.hpp"
 #include "util/rng.hpp"
 
 namespace sham {
@@ -77,7 +78,8 @@ Workload small_workload(std::uint64_t seed, std::size_t ref_count = 40,
 }
 
 std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "sham_" + name + ".artifact";
+  static const test::TempDir dir;  // one per test process
+  return dir.file("sham_" + name + ".artifact");
 }
 
 /// Write the small databases (plus a reference skeleton index) to a fresh

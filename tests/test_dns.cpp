@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dns/domain.hpp"
@@ -9,6 +11,7 @@
 #include "dns/zone_file.hpp"
 #include "dns/zone_stream.hpp"
 #include "util/rng.hpp"
+#include "zone_oracle.hpp"
 
 namespace sham::dns {
 namespace {
@@ -146,6 +149,27 @@ TEST(ZoneFile, RejectsMalformed) {
   EXPECT_THROW(parse_zone("name IN NS\n"), ZoneParseError);
   EXPECT_THROW(parse_zone("name IN MX 10\n"), ZoneParseError);
   EXPECT_THROW(parse_zone("  IN A 1.2.3.4\n"), ZoneParseError);  // no owner yet
+  // Empty labels, in owners and targets. One trailing dot marks a name
+  // absolute; a second one is an empty last label.
+  EXPECT_THROW(parse_zone("example.com.. 300 IN A 1.2.3.4\n"), ZoneParseError);
+  EXPECT_THROW(parse_zone("$ORIGIN com.\nfoo IN NS ns1..bad..\n"), ZoneParseError);
+  EXPECT_THROW(parse_zone("$ORIGIN com.\nfoo IN NS ns1.bad..\n"), ZoneParseError);
+  EXPECT_THROW(parse_zone("$ORIGIN com.\nfoo IN CNAME .bad.\n"), ZoneParseError);
+  EXPECT_THROW(parse_zone("$ORIGIN com.\nfoo IN MX 10 mx..foo.com.\n"), ZoneParseError);
+  EXPECT_THROW(parse_zone("$ORIGIN com.\na..b IN A 1.2.3.4\n"), ZoneParseError);
+  EXPECT_THROW(parse_zone("$ORIGIN com.\n.. IN A 1.2.3.4\n"), ZoneParseError);
+  try {
+    static_cast<void>(parse_zone("$ORIGIN com.\nok IN NS ns1.x.net.\nfoo IN NS ns1..bad..\n"));
+    FAIL() << "expected ZoneParseError";
+  } catch (const ZoneParseError& e) {
+    EXPECT_EQ(e.line(), 3u);
+    EXPECT_NE(std::string{e.what()}.find("empty label"), std::string::npos);
+  }
+  // The names themselves, written once, still parse.
+  const auto zone = parse_zone("$ORIGIN com.\nfoo IN NS ns1.Bad. ; ok\nexample.com. IN A 1.2.3.4\n");
+  ASSERT_EQ(zone.records.size(), 2u);
+  EXPECT_EQ(zone.records[0].target, "ns1.bad");
+  EXPECT_EQ(zone.records[1].owner.str(), "example.com");
 }
 
 TEST(ZoneFile, SerializeParseRoundtrip) {
@@ -351,6 +375,139 @@ TEST_P(ZoneChunkProperty, ChunkingInvariant) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ZoneChunkProperty,
                          ::testing::Values(1u, 77u, 515u, 8191u, 20260808u));
+
+// --- Differential mutation loop -----------------------------------------
+//
+// The reader against the naive oracle (tests/zone_oracle.hpp) on mutants
+// of a seeded zone: byte flips, inserted dots, spaces, ';' and CR, and
+// truncations, each fed to the reader at random chunk boundaries. Every
+// mutant must give the oracle's record sequence and final $ORIGIN/$TTL,
+// or throw ZoneParseError on the oracle's line after the same records.
+
+struct ParseOutcome {
+  std::vector<ResourceRecord> records;
+  std::size_t error_line = 0;  // 0 = parsed to the end
+  std::string origin;
+  std::uint32_t default_ttl = 0;
+};
+
+std::string random_zone(util::Rng& rng) {
+  static constexpr std::string_view kNames[] = {
+      "google", "xn--ggle-55da", "Mail", "a", "b-c", "x_y", "ns1.hoster.net.",
+      "EXAMPLE.org.", "@", "sub.domain"};
+  static constexpr std::string_view kTypes[] = {"NS", "A", "MX", "CNAME", "AAAA", "TXT"};
+  const auto name = [&] { return std::string{kNames[rng.below(std::size(kNames))]}; };
+  std::string text = "$ORIGIN com.\n$TTL 3600\n";
+  const std::size_t lines = 20 + rng.below(30);
+  for (std::size_t l = 0; l < lines; ++l) {
+    const auto kind = rng.below(10);
+    if (kind == 0) {
+      text += rng.below(2) == 0 ? "$ORIGIN net." : "$TTL " + std::to_string(rng.below(100000));
+    } else if (kind == 1) {
+      text += rng.below(2) == 0 ? "; comment" : "";
+    } else {
+      text += kind == 2 ? std::string{"  "} : name() + (rng.below(2) == 0 ? " " : "\t");
+      if (rng.below(3) == 0) text += std::to_string(rng.below(90000)) + " ";
+      if (rng.below(2) == 0) text += "IN ";
+      const auto type = kTypes[rng.below(std::size(kTypes))];
+      text += type;
+      text += ' ';
+      if (type == "A") {
+        text += std::to_string(rng.below(256)) + "." + std::to_string(rng.below(256)) +
+                ".0." + std::to_string(rng.below(256));
+      } else if (type == "MX") {
+        text += std::to_string(rng.below(100)) + " " + name();
+      } else if (type == "AAAA") {
+        text += "2001:db8::1";
+      } else if (type == "TXT") {
+        text += "v=spf1";
+      } else {
+        text += name();
+      }
+      if (rng.below(4) == 0) text += " ; trailing";
+    }
+    text += rng.below(3) == 0 ? "\r\n" : "\n";
+  }
+  return text;
+}
+
+std::string mutate(std::string text, util::Rng& rng) {
+  static constexpr char kInserts[] = {'.', ' ', ';', '\r'};
+  const auto mutations = 1 + rng.below(3);
+  for (std::uint64_t m = 0; m < mutations && !text.empty(); ++m) {
+    const auto at = static_cast<std::size_t>(rng.below(text.size()));
+    switch (rng.below(3)) {
+      case 0:
+        text[at] = static_cast<char>(rng.below(256));
+        break;
+      case 1:
+        text.insert(text.begin() + static_cast<std::ptrdiff_t>(at),
+                    kInserts[rng.below(std::size(kInserts))]);
+        break;
+      default:
+        text.resize(at);
+        break;
+    }
+  }
+  return text;
+}
+
+ParseOutcome oracle_outcome(std::string_view text) {
+  ParseOutcome out;
+  try {
+    test::ZoneOracle::parse(
+        text, [&](const ResourceRecord& r) { out.records.push_back(r); }, &out.origin,
+        &out.default_ttl);
+  } catch (const ZoneParseError& e) {
+    out.error_line = e.line();
+  }
+  return out;
+}
+
+ParseOutcome reader_outcome(std::string_view text, util::Rng& rng) {
+  ParseOutcome out;
+  ZoneStreamReader reader{[&](const ResourceRecord& r) { out.records.push_back(r); }};
+  try {
+    while (!text.empty()) {
+      const auto take = static_cast<std::size_t>(1 + rng.below(std::min<std::size_t>(text.size(), 64)));
+      reader.feed(text.substr(0, take));
+      text.remove_prefix(take);
+    }
+    reader.finish();
+    out.origin = reader.origin();
+    out.default_ttl = reader.default_ttl();
+  } catch (const ZoneParseError& e) {
+    out.error_line = e.line();
+  }
+  return out;
+}
+
+class ZoneMutationProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ZoneMutationProperty, ReaderMatchesNaiveOracle) {
+  util::Rng rng{GetParam()};
+  std::size_t rejected = 0;
+  constexpr int kMutants = 400;
+  for (int round = 0; round < kMutants; ++round) {
+    const auto text = round % 10 == 0 ? random_zone(rng) : mutate(random_zone(rng), rng);
+    const auto expected = oracle_outcome(text);
+    const auto actual = reader_outcome(text, rng);
+    ASSERT_EQ(actual.error_line, expected.error_line) << "round " << round << ":\n" << text;
+    ASSERT_EQ(actual.records, expected.records) << "round " << round << ":\n" << text;
+    if (expected.error_line == 0) {
+      EXPECT_EQ(actual.origin, expected.origin) << "round " << round;
+      EXPECT_EQ(actual.default_ttl, expected.default_ttl) << "round " << round;
+    } else {
+      ++rejected;
+    }
+  }
+  // The mutants exercise both outcomes.
+  EXPECT_GT(rejected, 0u);
+  EXPECT_LT(rejected, static_cast<std::size_t>(kMutants));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ZoneMutationProperty,
+                         ::testing::Values(3u, 41u, 977u, 65537u, 20261017u));
 
 // --- Language identification -----------------------------------------
 

@@ -9,13 +9,15 @@
 #include "font/hex_font.hpp"
 #include "internet/scenario.hpp"
 #include "measure/environment.hpp"
+#include "temp_dir.hpp"
 #include "util/log.hpp"
 
 namespace sham {
 namespace {
 
 TEST(HexFontFile, LoadFromDisk) {
-  const std::string path = ::testing::TempDir() + "/mini.hex";
+  const test::TempDir dir;
+  const std::string path = dir.file("mini.hex");
   {
     std::ofstream out{path};
     out << "# mini font\n";
@@ -26,7 +28,6 @@ TEST(HexFontFile, LoadFromDisk) {
   EXPECT_EQ(font.size(), 2u);
   EXPECT_TRUE(font.glyph('A').has_value());
   EXPECT_EQ(font.glyph(0x4E00)->popcount(), 0);
-  std::remove(path.c_str());
 }
 
 TEST(HexFontFile, MissingFileThrows) {

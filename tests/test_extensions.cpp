@@ -11,6 +11,7 @@
 #include "dns/zone_file.hpp"
 #include "font/synthetic_font.hpp"
 #include "idna/idna.hpp"
+#include "temp_dir.hpp"
 
 namespace sham {
 namespace {
@@ -124,7 +125,8 @@ TEST(Ranking, VisualDistanceHelper) {
 // --- Zone file streaming -------------------------------------------------
 
 TEST(ZoneFileStream, ReadsFromDisk) {
-  const std::string path = ::testing::TempDir() + "/test_zone_stream.zone";
+  const test::TempDir dir;
+  const std::string path = dir.file("test_zone_stream.zone");
   {
     std::ofstream out{path};
     out << "$ORIGIN com.\n$TTL 3600\n";
@@ -142,7 +144,6 @@ TEST(ZoneFileStream, ReadsFromDisk) {
   EXPECT_EQ(total, 500u);
   EXPECT_EQ(count, 500u);
   EXPECT_EQ(ns_records, 500u);
-  std::remove(path.c_str());
 }
 
 TEST(ZoneFileStream, MissingFileThrows) {
@@ -151,7 +152,8 @@ TEST(ZoneFileStream, MissingFileThrows) {
 }
 
 TEST(ZoneFileStream, MalformedRecordThrowsWithLine) {
-  const std::string path = ::testing::TempDir() + "/test_zone_bad.zone";
+  const test::TempDir dir;
+  const std::string path = dir.file("test_zone_bad.zone");
   {
     std::ofstream out{path};
     out << "$ORIGIN com.\nok IN A 1.2.3.4\nbad IN A banana\n";
@@ -162,7 +164,6 @@ TEST(ZoneFileStream, MalformedRecordThrowsWithLine) {
   } catch (const dns::ZoneParseError& e) {
     EXPECT_EQ(e.line(), 3u);
   }
-  std::remove(path.c_str());
 }
 
 }  // namespace

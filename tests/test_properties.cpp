@@ -12,6 +12,7 @@
 #include "idna/idna.hpp"
 #include "kernels/kernels.hpp"
 #include "simchar/simchar.hpp"
+#include "temp_dir.hpp"
 #include "util/rng.hpp"
 
 namespace sham {
@@ -336,8 +337,8 @@ class DbRoundTripProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DbRoundTripProperty, MappedDetectTracksSerialBaselineEverywhere) {
   const auto w = random_skeleton_workload(GetParam());
-  const auto path = ::testing::TempDir() + "sham_roundtrip_" +
-                    std::to_string(GetParam()) + ".artifact";
+  const test::TempDir dir;
+  const auto path = dir.file("sham_roundtrip_" + std::to_string(GetParam()) + ".artifact");
   {
     db::WriteRequest request;
     request.simchar = &w.sim;
@@ -374,7 +375,6 @@ TEST_P(DbRoundTripProperty, MappedDetectTracksSerialBaselineEverywhere) {
       }
     }
   }
-  std::remove(path.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DbRoundTripProperty,

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "idna/punycode.hpp"
 #include "util/rng.hpp"
 
@@ -13,6 +15,10 @@ struct Rfc3492Vector {
   U32String unicode;
   const char* encoded;
 };
+
+// Names each instance after its vector. gtest's default printer dumps the
+// raw bytes, pointers included, so test names would change from run to run.
+void PrintTo(const Rfc3492Vector& v, std::ostream* os) { *os << v.name; }
 
 // Official sample strings from RFC 3492 section 7.1 (subset) plus the
 // paper's own example (阿里巴巴 -> tsta8290bfzd, Section 2.1).

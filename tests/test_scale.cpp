@@ -20,6 +20,7 @@
 #include "internet/zone_gen.hpp"
 #include "measure/environment.hpp"
 #include "measure/scale_run.hpp"
+#include "temp_dir.hpp"
 #include "unicode/confusables.hpp"
 #include "util/rng.hpp"
 
@@ -28,17 +29,17 @@ namespace {
 
 using unicode::CodePoint;
 
-// RAII temp zone file under the build tree's cwd.
+// RAII temp zone file in a directory of its own.
 class TempZone {
  public:
-  TempZone(std::string name, const std::string& text) : path_{std::move(name)} {
+  TempZone(std::string_view name, const std::string& text) : path_{dir_.file(name)} {
     std::ofstream out{path_, std::ios::trunc};
     out << text;
   }
-  ~TempZone() { std::remove(path_.c_str()); }
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
  private:
+  test::TempDir dir_;
   std::string path_;
 };
 
@@ -396,7 +397,8 @@ TEST(Fleet, SyntheticZoneShardInvariant) {
   const auto config = gen_config();
   const auto scenario = internet::generate_scenario(env().db_union, config);
 
-  const std::string artifact = "test_scale_fleet.artifact";
+  const test::TempDir artifact_dir;
+  const std::string artifact = artifact_dir.file("test_scale_fleet.artifact");
   {
     db::WriteRequest request;
     request.simchar = &env().simchar;
@@ -462,7 +464,6 @@ TEST(Fleet, SyntheticZoneShardInvariant) {
     // The duplicated "bench" key inside the fleet object is gone.
     EXPECT_EQ(json.find("\"bench\""), std::string::npos);
   }
-  std::remove(artifact.c_str());
 
   ASSERT_EQ(fingerprints.size(), 3u);
   EXPECT_EQ(fingerprints[0], baseline.fingerprint);

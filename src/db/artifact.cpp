@@ -14,6 +14,7 @@
 #endif
 
 #include "db/mapped_file.hpp"
+#include "unicode/codepoint.hpp"
 
 namespace sham::db {
 
@@ -284,6 +285,17 @@ void require_ascending_unique(std::span<const T> values, SpanReader& r,
   }
 }
 
+/// Every value a code point (<= U+10FFFF). canonical()'s page table is
+/// sized from the largest code point it is built from: the canonical keys
+/// at adoption, the adjacency characters when an update materializes a view.
+void require_code_points(std::span<const std::uint32_t> values, SpanReader& r,
+                         const char* what) {
+  if (std::any_of(values.begin(), values.end(),
+                  [](std::uint32_t cp) { return cp > unicode::kMaxCodePoint; })) {
+    r.fail(std::string{what} + " above U+10FFFF");
+  }
+}
+
 /// Offsets table: monotonic, starts at 0, ends at `total`.
 void require_offsets(std::span<const std::uint32_t> offsets, std::uint64_t total,
                      SpanReader& r, const char* what) {
@@ -337,6 +349,10 @@ homoglyph::HomoglyphDb::FlatView parse_homoglyph(SpanReader r,
   require_ascending_unique(flat.pair_keys, r, "pair keys");
   require_ascending_unique(flat.adj_cps, r, "adjacency characters");
   require_ascending_unique(flat.canon_keys, r, "canonical keys");
+  require_code_points(flat.adj_cps, r, "adjacency character");
+  require_code_points(flat.adj_data, r, "adjacency neighbour");
+  require_code_points(flat.canon_keys, r, "canonical key");
+  require_code_points(flat.canon_reps, r, "canonical representative");
   require_offsets(flat.adj_offsets, flat.adj_data.size(), r, "adjacency");
   for (const auto s : flat.pair_sources) {
     if (s < 1 || s > 3) r.fail("pair provenance out of range");

@@ -129,7 +129,7 @@ void scan_references_skeleton(const HomographDetector& detector,
   std::vector<DiffChar> diffs;
   for (std::size_t r = begin; r < end; ++r) {
     const auto& ref = references[r];
-    const auto bucket = index.probe(index.hashes_of(ref));
+    const auto bucket = index.lookup(ref);
     if (bucket.empty()) continue;
     for (const auto x : bucket) {
       ++out.length_bucket_hits;  // candidates examined, as under kIndexed
@@ -158,7 +158,7 @@ void scan_idns_skeleton(const HomographDetector& detector,
                         std::size_t begin, std::size_t end, ShardResult& out) {
   std::vector<DiffChar> diffs;
   for (std::size_t x = begin; x < end; ++x) {
-    const auto bucket = index.probe(index.hashes_of(idns[x].unicode));
+    const auto bucket = index.lookup(idns[x].unicode);
     if (bucket.empty()) continue;
     for (const auto r : bucket) {
       ++out.length_bucket_hits;

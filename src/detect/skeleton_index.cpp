@@ -39,75 +39,109 @@ const unicode::U32String& label_of(const IdnEntry& entry) { return entry.unicode
 const std::string& label_of(const std::string& label) { return label; }
 const unicode::U32String& label_of(const unicode::U32String& label) { return label; }
 
-/// Materialize the u32 stream the primary hash consumes: [length,
-/// canonical(c)...]. The length prefix is just the first stream value, so
-/// feeding this to fnv1a_span reproduces the historical hash bit-exactly.
-template <typename String>
-void primary_stream(const homoglyph::HomoglyphDb& db, const String& label,
-                    std::vector<std::uint32_t>& out) {
-  out.clear();
-  out.reserve(label.size() + 1);
-  out.push_back(static_cast<std::uint32_t>(label.size()));
-  for (const auto c : label) out.push_back(db.canonical(to_cp(c)));
+/// The secondary stream's two values for one canonical value v:
+/// lo(mix64(v)), hi(mix64(v)).
+void put_mixed(std::uint32_t v, std::uint32_t* out) noexcept {
+  const auto mixed = mix64(v);
+  out[0] = static_cast<std::uint32_t>(mixed);
+  out[1] = static_cast<std::uint32_t>(mixed >> 32);
 }
 
-/// The secondary stream: [length, lo(mix64(canonical)), hi(...), ...].
-template <typename String>
-void secondary_stream(const homoglyph::HomoglyphDb& db, const String& label,
-                      std::vector<std::uint32_t>& out) {
-  out.clear();
-  out.reserve(2 * label.size() + 1);
-  out.push_back(static_cast<std::uint32_t>(label.size()));
-  for (const auto c : label) {
-    const auto mixed = mix64(db.canonical(to_cp(c)));
-    out.push_back(static_cast<std::uint32_t>(mixed));
-    out.push_back(static_cast<std::uint32_t>(mixed >> 32));
+/// A label canonicalized once: the u32 stream [length, canonical(c)...]
+/// that both skeleton hashes fold. The length prefix is just the first
+/// stream value, so the primary hash is one fnv1a_span over it
+/// (length-prefixed, so equal-hash buckets are (length, skeleton) buckets
+/// up to genuine FNV collisions, which verification absorbs). The stream
+/// lives in a stack buffer up to kInlineCodePoints code points — every
+/// DNS label — and on the heap past that.
+class CanonicalLabel {
+ public:
+  static constexpr std::size_t kInlineCodePoints = 63;
+
+  CanonicalLabel() = default;
+  CanonicalLabel(const CanonicalLabel&) = delete;
+  CanonicalLabel& operator=(const CanonicalLabel&) = delete;
+
+  template <typename String>
+  void assign(const homoglyph::HomoglyphDb& db, const String& label) {
+    size_ = label.size() + 1;
+    std::uint32_t* out = inline_.data();
+    if (size_ > inline_.size()) {
+      heap_.resize(size_);
+      out = heap_.data();
+    }
+    data_ = out;
+    *out++ = static_cast<std::uint32_t>(label.size());
+    for (const auto c : label) *out++ = db.canonical(to_cp(c));
   }
+
+  [[nodiscard]] const std::uint32_t* data() const noexcept { return data_; }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+  /// Primary hash, before hash_bits masking.
+  [[nodiscard]] std::uint64_t primary() const noexcept {
+    return kernels::fnv1a_span(kFnvOffset, data_, size_);
+  }
+
+  /// Secondary hash: FNV-1a from kFnv2Offset over [length, put_mixed(v)
+  /// for each canonical v], fed to the kernel in stack chunks (the chain
+  /// resumes from the previous flush, so chunking is exact). Full width —
+  /// never masked by hash_bits: it must keep separating labels precisely
+  /// when the primary stopped doing so.
+  [[nodiscard]] std::uint64_t secondary() const noexcept {
+    std::array<std::uint32_t, 64> buf;
+    std::size_t fill = 0;
+    std::uint64_t h = kFnv2Offset;
+    buf[fill++] = data_[0];
+    for (std::size_t i = 1; i < size_; ++i) {
+      if (fill + 2 > buf.size()) {
+        h = kernels::fnv1a_span(h, buf.data(), fill);
+        fill = 0;
+      }
+      put_mixed(data_[i], buf.data() + fill);
+      fill += 2;
+    }
+    return kernels::fnv1a_span(h, buf.data(), fill);
+  }
+
+  /// The whole secondary stream, for build()'s four-chain kernel pass.
+  void secondary_stream(std::vector<std::uint32_t>& out) const {
+    out.resize(2 * size_ - 1);
+    out[0] = data_[0];
+    for (std::size_t i = 1; i < size_; ++i) put_mixed(data_[i], &out[2 * i - 1]);
+  }
+
+ private:
+  std::array<std::uint32_t, kInlineCodePoints + 1> inline_;
+  std::vector<std::uint32_t> heap_;
+  const std::uint32_t* data_ = inline_.data();
+  std::size_t size_ = 0;
+};
+
+template <typename String>
+SkeletonHashes hashes_impl(const homoglyph::HomoglyphDb& db, const String& label,
+                           std::uint64_t hash_mask, bool split) {
+  CanonicalLabel canon;
+  canon.assign(db, label);
+  return {canon.primary() & hash_mask, split ? canon.secondary() : 0};
 }
 
 }  // namespace
 
 template <typename String>
-std::uint64_t SkeletonIndex::hash_impl(const String& label) const {
-  // Length-prefixed so equal-hash buckets are (length, skeleton) buckets up
-  // to genuine FNV collisions (which verification absorbs). The canonical
-  // stream flows through the kernel in stack-buffer chunks — the chain
-  // resumes from the previous flush's value, so chunking is exact (and the
-  // path stays allocation-free and thread-safe for concurrent hash_of).
-  std::array<std::uint32_t, 64> buf;
-  std::size_t fill = 0;
-  std::uint64_t h = kFnvOffset;
-  buf[fill++] = static_cast<std::uint32_t>(label.size());
-  for (const auto c : label) {
-    if (fill == buf.size()) {
-      h = kernels::fnv1a_span(h, buf.data(), fill);
-      fill = 0;
-    }
-    buf[fill++] = db_->canonical(to_cp(c));
-  }
-  h = kernels::fnv1a_span(h, buf.data(), fill);
-  return h & hash_mask_;
+std::span<const std::uint32_t> SkeletonIndex::lookup_impl(const String& label) const {
+  CanonicalLabel canon;
+  canon.assign(*db_, label);
+  return probe_split(canon.primary() & hash_mask_, [&] { return canon.secondary(); });
 }
 
-template <typename String>
-std::uint64_t SkeletonIndex::hash2_impl(const String& label) const {
-  // Full width (never masked by hash_bits): the secondary hash must keep
-  // separating labels precisely when the primary stopped doing so.
-  std::array<std::uint32_t, 64> buf;
-  std::size_t fill = 0;
-  std::uint64_t h = kFnv2Offset;
-  buf[fill++] = static_cast<std::uint32_t>(label.size());
-  for (const auto c : label) {
-    if (fill + 2 > buf.size()) {
-      h = kernels::fnv1a_span(h, buf.data(), fill);
-      fill = 0;
-    }
-    const auto mixed = mix64(db_->canonical(to_cp(c)));
-    buf[fill++] = static_cast<std::uint32_t>(mixed);
-    buf[fill++] = static_cast<std::uint32_t>(mixed >> 32);
-  }
-  h = kernels::fnv1a_span(h, buf.data(), fill);
-  return h;
+std::span<const std::uint32_t> SkeletonIndex::lookup(std::string_view label) const {
+  return lookup_impl(label);
+}
+
+std::span<const std::uint32_t> SkeletonIndex::lookup(
+    const unicode::U32String& label) const {
+  return lookup_impl(label);
 }
 
 void SkeletonIndex::refresh_split(Bucket& bucket) {
@@ -129,11 +163,12 @@ void SkeletonIndex::build(std::span<const Label> labels) {
   if (max_bucket_occupancy_ > 0) entry_h2_.resize(n);
   buckets_.reserve(n);
 
-  // Pass 1: hash four labels per kernel call — four independent FNV
-  // chains, which the dispatch table runs in SIMD lanes where available.
-  // Remainder entries (< 4) go through the single-chain path; both produce
-  // the identical historical hash.
-  std::array<std::vector<std::uint32_t>, 4> streams;
+  // Pass 1: canonicalize each label once and hash four labels per kernel
+  // call — four independent FNV chains, which the dispatch table runs in
+  // SIMD lanes where available. Remainder entries (< 4) go through the
+  // single-chain path; both produce the identical hash.
+  std::array<CanonicalLabel, 4> lanes;
+  std::array<std::vector<std::uint32_t>, 4> mixed;
   std::size_t x = 0;
   for (; x + 4 <= n; x += 4) {
     const std::uint32_t* ptrs[4];
@@ -141,18 +176,18 @@ void SkeletonIndex::build(std::span<const Label> labels) {
     std::uint64_t seeds[4];
     std::uint64_t out[4];
     for (int c = 0; c < 4; ++c) {
-      primary_stream(*db_, label_of(labels[x + c]), streams[c]);
-      ptrs[c] = streams[c].data();
-      lens[c] = streams[c].size();
+      lanes[c].assign(*db_, label_of(labels[x + c]));
+      ptrs[c] = lanes[c].data();
+      lens[c] = lanes[c].size();
       seeds[c] = kFnvOffset;
     }
     kernels::fnv1a_batch4(ptrs, lens, seeds, out);
     for (int c = 0; c < 4; ++c) entry_hashes_[x + c] = out[c] & hash_mask_;
     if (max_bucket_occupancy_ > 0) {
       for (int c = 0; c < 4; ++c) {
-        secondary_stream(*db_, label_of(labels[x + c]), streams[c]);
-        ptrs[c] = streams[c].data();
-        lens[c] = streams[c].size();
+        lanes[c].secondary_stream(mixed[c]);
+        ptrs[c] = mixed[c].data();
+        lens[c] = mixed[c].size();
         seeds[c] = kFnv2Offset;
       }
       kernels::fnv1a_batch4(ptrs, lens, seeds, out);
@@ -160,8 +195,9 @@ void SkeletonIndex::build(std::span<const Label> labels) {
     }
   }
   for (; x < n; ++x) {
-    entry_hashes_[x] = hash_impl(label_of(labels[x]));
-    if (max_bucket_occupancy_ > 0) entry_h2_[x] = hash2_impl(label_of(labels[x]));
+    lanes[0].assign(*db_, label_of(labels[x]));
+    entry_hashes_[x] = lanes[0].primary() & hash_mask_;
+    if (max_bucket_occupancy_ > 0) entry_h2_[x] = lanes[0].secondary();
   }
 
   // Pass 2: bucket and posting insertion, ascending x (deterministic).
@@ -240,10 +276,12 @@ std::size_t SkeletonIndex::rehash_impl(std::span<const Label> labels,
   affected.erase(std::unique(affected.begin(), affected.end()), affected.end());
 
   std::vector<std::uint64_t> touched;
+  CanonicalLabel canon;
   for (const auto x : affected) {
     const auto old_hash = entry_hashes_[x];
-    const auto new_hash = hash_impl(label_of(labels[x]));
-    if (max_bucket_occupancy_ > 0) entry_h2_[x] = hash2_impl(label_of(labels[x]));
+    canon.assign(*db_, label_of(labels[x]));
+    const auto new_hash = canon.primary() & hash_mask_;
+    if (max_bucket_occupancy_ > 0) entry_h2_[x] = canon.secondary();
     if (new_hash == old_hash) {
       // Same primary bucket, but under a cap the secondary hash (hence the
       // child partition) may have moved.
@@ -299,21 +337,19 @@ SkeletonIndex::SkeletonIndex(const homoglyph::HomoglyphDb& db,
 }
 
 std::uint64_t SkeletonIndex::hash_of(std::string_view reference) const {
-  return hash_impl(reference);
+  return hashes_impl(*db_, reference, hash_mask_, false).primary;
 }
 
 std::uint64_t SkeletonIndex::hash_of(const unicode::U32String& reference) const {
-  return hash_impl(reference);
+  return hashes_impl(*db_, reference, hash_mask_, false).primary;
 }
 
 SkeletonHashes SkeletonIndex::hashes_of(std::string_view reference) const {
-  return {hash_impl(reference),
-          max_bucket_occupancy_ > 0 ? hash2_impl(reference) : 0};
+  return hashes_impl(*db_, reference, hash_mask_, max_bucket_occupancy_ > 0);
 }
 
 SkeletonHashes SkeletonIndex::hashes_of(const unicode::U32String& reference) const {
-  return {hash_impl(reference),
-          max_bucket_occupancy_ > 0 ? hash2_impl(reference) : 0};
+  return hashes_impl(*db_, reference, hash_mask_, max_bucket_occupancy_ > 0);
 }
 
 std::size_t SkeletonIndex::rehash_changed(std::span<const IdnEntry> labels,

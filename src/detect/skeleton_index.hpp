@@ -85,6 +85,14 @@ class SkeletonIndex {
                 std::span<const unicode::U32String> labels,
                 SkeletonIndexOptions options = {});
 
+  /// Candidate entries for a probe label: span-equal to
+  /// probe(hashes_of(label)), but the label is canonicalized once, into a
+  /// stack buffer (no heap allocation up to 63 code points), and the
+  /// secondary hash is computed only when the primary bucket is split.
+  /// The engine's skeleton scans probe through this.
+  [[nodiscard]] std::span<const std::uint32_t> lookup(std::string_view label) const;
+  [[nodiscard]] std::span<const std::uint32_t> lookup(const unicode::U32String& label) const;
+
   /// Skeleton hash of a probe label (ASCII or Unicode).
   [[nodiscard]] std::uint64_t hash_of(std::string_view reference) const;
   [[nodiscard]] std::uint64_t hash_of(const unicode::U32String& reference) const;
@@ -115,31 +123,7 @@ class SkeletonIndex {
   /// secondary hash is returned, so occupancy stays under the cap even
   /// when thousands of labels share one primary hash.
   [[nodiscard]] std::span<const std::uint32_t> probe(SkeletonHashes hashes) const {
-    if (view_) {
-      const auto b = view_bucket(hashes.primary);
-      if (b == kNoBucket) return {};
-      const auto child_begin = flat_.bucket_child_start[b];
-      const auto child_end = flat_.bucket_child_start[b + 1];
-      if (child_begin == child_end) {
-        return flat_.bucket_entries.subspan(
-            flat_.bucket_offsets[b],
-            flat_.bucket_offsets[b + 1] - flat_.bucket_offsets[b]);
-      }
-      const auto first = flat_.child_h2.begin() + child_begin;
-      const auto last = flat_.child_h2.begin() + child_end;
-      const auto it = std::lower_bound(first, last, hashes.secondary);
-      if (it == last || *it != hashes.secondary) return {};
-      const auto c = static_cast<std::size_t>(it - flat_.child_h2.begin());
-      return flat_.child_entries.subspan(
-          flat_.child_offsets[c], flat_.child_offsets[c + 1] - flat_.child_offsets[c]);
-    }
-    const auto it = buckets_.find(hashes.primary);
-    if (it == buckets_.end() || it->second.entries.empty()) return {};
-    if (!it->second.split) return it->second.entries;
-    const auto child = it->second.children.find(hashes.secondary);
-    return child == it->second.children.end()
-               ? std::span<const std::uint32_t>{}
-               : std::span<const std::uint32_t>{child->second};
+    return probe_split(hashes.primary, [&] { return hashes.secondary; });
   }
 
   /// Number of primary buckets currently split into secondary children.
@@ -212,10 +196,41 @@ class SkeletonIndex {
 
   SkeletonIndex() = default;  // adopt_view scaffolding
 
+  /// The split-aware probe. `secondary` yields the probe's secondary hash;
+  /// it is called only when the primary bucket is split.
+  template <typename Secondary>
+  [[nodiscard]] std::span<const std::uint32_t> probe_split(std::uint64_t primary,
+                                                           Secondary&& secondary) const {
+    if (view_) {
+      const auto b = view_bucket(primary);
+      if (b == kNoBucket) return {};
+      const auto child_begin = flat_.bucket_child_start[b];
+      const auto child_end = flat_.bucket_child_start[b + 1];
+      if (child_begin == child_end) {
+        return flat_.bucket_entries.subspan(
+            flat_.bucket_offsets[b],
+            flat_.bucket_offsets[b + 1] - flat_.bucket_offsets[b]);
+      }
+      const std::uint64_t h2 = secondary();
+      const auto first = flat_.child_h2.begin() + child_begin;
+      const auto last = flat_.child_h2.begin() + child_end;
+      const auto it = std::lower_bound(first, last, h2);
+      if (it == last || *it != h2) return {};
+      const auto c = static_cast<std::size_t>(it - flat_.child_h2.begin());
+      return flat_.child_entries.subspan(
+          flat_.child_offsets[c], flat_.child_offsets[c + 1] - flat_.child_offsets[c]);
+    }
+    const auto it = buckets_.find(primary);
+    if (it == buckets_.end() || it->second.entries.empty()) return {};
+    if (!it->second.split) return it->second.entries;
+    const auto child = it->second.children.find(secondary());
+    return child == it->second.children.end()
+               ? std::span<const std::uint32_t>{}
+               : std::span<const std::uint32_t>{child->second};
+  }
+
   template <typename String>
-  [[nodiscard]] std::uint64_t hash_impl(const String& label) const;
-  template <typename String>
-  [[nodiscard]] std::uint64_t hash2_impl(const String& label) const;
+  [[nodiscard]] std::span<const std::uint32_t> lookup_impl(const String& label) const;
   template <typename Label>
   void build(std::span<const Label> labels);
   template <typename Label>

@@ -47,9 +47,48 @@ class UnionFind {
   std::unordered_map<unicode::CodePoint, unicode::CodePoint> parent_;
 };
 
+bool all_code_points(std::span<const unicode::CodePoint> values) {
+  return std::all_of(values.begin(), values.end(),
+                     [](unicode::CodePoint cp) { return cp <= unicode::kMaxCodePoint; });
+}
+
 }  // namespace
 
 HomoglyphDb::HomoglyphDb() { finalize(); }
+
+void HomoglyphDb::build_canonical_table(std::span<const unicode::CodePoint> keys,
+                                        std::span<const unicode::CodePoint> reps) {
+  // Keys bound the directory (cp >> 8) and the uint16_t page count: at
+  // most 0x1100 blocks below U+10FFFF.
+  if (!all_code_points(keys)) {
+    throw std::runtime_error{"HomoglyphDb: canonical key above U+10FFFF"};
+  }
+  // Two passes so each table is allocated exactly once: number the blocks
+  // that hold a key (directory entry 0 = the shared identity page), then
+  // fill the pages.
+  std::size_t blocks = 0;
+  for (const auto cp : keys) blocks = std::max<std::size_t>(blocks, (cp >> 8) + 1);
+  canon_dir_.assign(blocks, 0);
+  std::uint16_t pages = 1;
+  for (const auto cp : keys) {
+    if (canon_dir_[cp >> 8] == 0) canon_dir_[cp >> 8] = pages++;
+  }
+  canon_pages_.assign(std::size_t{pages} << 8, 0);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    canon_pages_[(std::size_t{canon_dir_[keys[i] >> 8]} << 8) | (keys[i] & 0xFF)] =
+        keys[i] ^ reps[i];
+  }
+}
+
+void HomoglyphDb::set_canonical(unicode::CodePoint cp, unicode::CodePoint rep) {
+  const std::size_t block = cp >> 8;
+  if (block >= canon_dir_.size()) canon_dir_.resize(block + 1, 0);
+  if (canon_dir_[block] == 0) {
+    canon_dir_[block] = static_cast<std::uint16_t>(canon_pages_.size() >> 8);
+    canon_pages_.resize(canon_pages_.size() + 256, 0);
+  }
+  canon_pages_[(std::size_t{canon_dir_[block]} << 8) | (cp & 0xFF)] = cp ^ rep;
+}
 
 void HomoglyphDb::finalize() {
   for (auto& [cp, neighbours] : adjacency_) {
@@ -60,31 +99,25 @@ void HomoglyphDb::finalize() {
   for (const auto& [cp, neighbours] : adjacency_) {
     for (const auto n : neighbours) uf.unite(cp, n);
   }
-  canonical_.clear();
-  canonical_.reserve(adjacency_.size());
-  std::size_t classes = 0;
-  for (const auto& node : uf.nodes()) {
-    const auto cp = node.first;
-    const auto rep = uf.find(cp);
-    canonical_.emplace(cp, rep);
-    if (rep == cp) ++classes;
-  }
-  canonical_classes_ = classes;
-  for (unicode::CodePoint cp = 0; cp < kDenseCanonical; ++cp) {
-    const auto it = canonical_.find(cp);
-    canonical_latin1_[cp] = it == canonical_.end() ? cp : it->second;
-  }
+  std::vector<unicode::CodePoint> keys;
+  std::vector<unicode::CodePoint> reps;
+  keys.reserve(uf.nodes().size());
+  reps.reserve(uf.nodes().size());
+  for (const auto& node : uf.nodes()) keys.push_back(node.first);
+  for (const auto cp : keys) reps.push_back(uf.find(cp));
+  build_canonical_table(keys, reps);
 
-  // Rebuild the rep -> members inverse (canonical_ maps every graph node,
-  // reps included, so every tracked component here has >= 2 members;
-  // singletons are represented by absence).
+  // Rebuild the rep -> members map (every graph node, reps included, so
+  // every tracked component here has >= 2 members; singletons are
+  // represented by absence).
   component_members_.clear();
-  for (const auto& [cp, rep] : canonical_) {
-    component_members_[rep].push_back(cp);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    component_members_[reps[i]].push_back(keys[i]);
   }
   for (auto& [rep, members] : component_members_) {
     std::sort(members.begin(), members.end());
   }
+  canonical_classes_ = component_members_.size();
   // A full rebuild invalidates incremental bookkeeping: restart the change
   // log at the current generation.
   change_log_base_ = generation_;
@@ -111,12 +144,10 @@ void HomoglyphDb::merge_components(unicode::CodePoint a, unicode::CodePoint b,
   std::size_t winner_size = 1;
   auto wit = component_members_.find(lo);
   if (wit == component_members_.end()) {
+    // lo is a singleton entering the graph: it becomes a member of its own
+    // component (canonical(lo) stays lo, so the table needs no entry), as
+    // finalize() records every graph node.
     wit = component_members_.emplace(lo, std::vector<unicode::CodePoint>{lo}).first;
-    // lo is a singleton entering the graph: give it the self-entry
-    // finalize() records for every graph node (canonical(lo) is unchanged
-    // — absence already meant identity — but the serialized canonical map
-    // must match a full rebuild's exactly).
-    canonical_.emplace(lo, lo);
   } else {
     winner_size = wit->second.size();
   }
@@ -130,8 +161,7 @@ void HomoglyphDb::merge_components(unicode::CodePoint a, unicode::CodePoint b,
   auto& winners = wit->second;
   winners.reserve(winners.size() + losers.size());
   for (const auto cp : losers) {
-    canonical_[cp] = lo;
-    if (cp < kDenseCanonical) canonical_latin1_[cp] = lo;
+    set_canonical(cp, lo);
     winners.push_back(cp);
     changed.push_back(cp);
   }
@@ -210,8 +240,10 @@ HomoglyphDb::Flat HomoglyphDb::to_flat() const {
   }
   flat.adj_offsets.push_back(static_cast<std::uint32_t>(flat.adj_data.size()));
 
-  std::vector<std::pair<unicode::CodePoint, unicode::CodePoint>> canon{
-      canonical_.begin(), canonical_.end()};
+  std::vector<std::pair<unicode::CodePoint, unicode::CodePoint>> canon;
+  for (const auto& [rep, members] : component_members_) {
+    for (const auto cp : members) canon.emplace_back(cp, rep);
+  }
   std::sort(canon.begin(), canon.end());
   flat.canon_keys.reserve(canon.size());
   flat.canon_reps.reserve(canon.size());
@@ -249,16 +281,12 @@ HomoglyphDb HomoglyphDb::adopt_view(const FlatView& flat,
   // canonical_changes_since(generation()) answers with "nothing changed";
   // anything older forces the caller's full rebuild.
   db.change_log_base_ = flat.generation;
-  // The inline canonical() fast path is a dense Latin-1 array in both
-  // modes; fill it from the (sorted) flat map once at adoption.
-  for (unicode::CodePoint cp = 0; cp < kDenseCanonical; ++cp) {
-    db.canonical_latin1_[cp] = cp;
+  // Adjacency characters become canonical keys when an update
+  // materializes the view; reject them here, before any mutation starts.
+  if (!all_code_points(flat.adj_cps) || !all_code_points(flat.adj_data)) {
+    throw std::runtime_error{"HomoglyphDb: flat view code point above U+10FFFF"};
   }
-  for (std::size_t i = 0; i < flat.canon_keys.size(); ++i) {
-    const auto cp = flat.canon_keys[i];
-    if (cp >= kDenseCanonical) break;  // keys ascending
-    db.canonical_latin1_[cp] = flat.canon_reps[i];
-  }
+  db.build_canonical_table(flat.canon_keys, flat.canon_reps);
   return db;
 }
 
@@ -266,7 +294,8 @@ HomoglyphDb::UpdateResult HomoglyphDb::apply_update(
     std::span<const simchar::HomoglyphPair> pairs, Source source) {
   materialize();  // copy-on-write: views go owned on the first mutation
   const auto permitted = [&](unicode::CodePoint cp) {
-    return !config_.idna_only || unicode::is_idna_permitted(cp);
+    return cp <= unicode::kMaxCodePoint &&
+           (!config_.idna_only || unicode::is_idna_permitted(cp));
   };
   const auto insert_sorted = [](std::vector<unicode::CodePoint>& v,
                                 unicode::CodePoint cp) {
@@ -345,7 +374,8 @@ HomoglyphDb::HomoglyphDb(const simchar::SimCharDb& simchar_db,
                          const unicode::ConfusablesDb& uc_db, const DbConfig& config)
     : config_(config) {
   const auto permitted = [&](unicode::CodePoint cp) {
-    return !config.idna_only || unicode::is_idna_permitted(cp);
+    return cp <= unicode::kMaxCodePoint &&
+           (!config.idna_only || unicode::is_idna_permitted(cp));
   };
   if (config.use_uc) {
     for (const auto& [source, proto] : uc_db.single_char_pairs()) {
@@ -455,6 +485,11 @@ HomoglyphDb HomoglyphDb::parse(std::string_view text) {
     }
     const auto a = util::parse_hex_codepoint(fields[0]);
     const auto b = util::parse_hex_codepoint(fields[1]);
+    if (a > unicode::kMaxCodePoint || b > unicode::kMaxCodePoint) {
+      throw std::invalid_argument{"HomoglyphDb::parse: line " +
+                                  std::to_string(line_no) +
+                                  ": code point above U+10FFFF"};
+    }
     Source source;
     if (fields[2] == "UC") {
       source = Source::kUc;

@@ -4,8 +4,7 @@
 // "reverting to original domains" analysis of Section 6.4.
 #pragma once
 
-#include <algorithm>
-#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -61,18 +60,12 @@ class HomoglyphDb {
   /// canonical(a) == canonical(b) is a necessary — NOT sufficient —
   /// condition for {a, b} being a listed pair; candidate sets built on it
   /// over-approximate and must be re-verified with source_of()/
-  /// are_homoglyphs(). Code points below U+0100 hit a dense flat array
-  /// (copied out of the artifact at adoption time, so the fast path is
-  /// identical in both storage modes).
+  /// are_homoglyphs(). One two-level table lookup in both storage modes
+  /// (see canon_dir_); any 32-bit value is a valid argument.
   [[nodiscard]] unicode::CodePoint canonical(unicode::CodePoint cp) const noexcept {
-    if (cp < kDenseCanonical) return canonical_latin1_[cp];
-    if (view_) {
-      const auto it = std::lower_bound(v_canon_keys_.begin(), v_canon_keys_.end(), cp);
-      if (it == v_canon_keys_.end() || *it != cp) return cp;
-      return v_canon_reps_[static_cast<std::size_t>(it - v_canon_keys_.begin())];
-    }
-    const auto it = canonical_.find(cp);
-    return it == canonical_.end() ? cp : it->second;
+    const std::size_t block = cp >> 8;
+    if (block >= canon_dir_.size()) return cp;
+    return cp ^ canon_pages_[(std::size_t{canon_dir_[block]} << 8) | (cp & 0xFF)];
   }
 
   /// Number of non-singleton confusable-closure components.
@@ -148,10 +141,12 @@ class HomoglyphDb {
   // The hash-map representation flattened into sorted arrays: pair keys
   // ((a << 32) | b, a < b) with per-pair provenance, the adjacency lists
   // as a CSR over ascending characters, and the union-find canonical map
-  // as parallel key/representative arrays. An adopted view answers every
-  // const query by binary search over these spans — zero parsing; the
-  // first mutating call (apply_update / update_with_new_characters)
-  // materializes a private owned copy first (copy-on-write).
+  // as parallel key/representative arrays. An adopted view answers pair
+  // and adjacency queries by binary search over these spans (zero
+  // parsing); canonical() reads the page table that adoption derives from
+  // the canonical arrays. The first mutating call (apply_update /
+  // update_with_new_characters) materializes a private owned copy first
+  // (copy-on-write).
 
   struct DbConfigFlags {
     static constexpr std::uint32_t kUseUc = 1u << 0;
@@ -190,7 +185,8 @@ class HomoglyphDb {
 
   /// Adopt immutable flat storage in place. The spans must stay valid for
   /// as long as `backing` is held. Throws std::runtime_error on shape
-  /// mismatch (the artifact loader validates sizes structurally first).
+  /// mismatch or a canonical key or adjacency code point above U+10FFFF
+  /// (the artifact loader validates both first).
   static HomoglyphDb adopt_view(const FlatView& flat,
                                 std::shared_ptr<const void> backing);
 
@@ -199,8 +195,6 @@ class HomoglyphDb {
   [[nodiscard]] bool is_view() const noexcept { return view_; }
 
  private:
-  static constexpr unicode::CodePoint kDenseCanonical = 0x100;
-
   static std::uint64_t key(unicode::CodePoint a, unicode::CodePoint b) noexcept;
   void add_pair(unicode::CodePoint a, unicode::CodePoint b, Source source);
   /// Sort adjacency lists and rebuild the canonical map; every constructor
@@ -210,6 +204,13 @@ class HomoglyphDb {
   /// representative moved into `changed` (members of the losing component).
   void merge_components(unicode::CodePoint a, unicode::CodePoint b,
                         std::vector<unicode::CodePoint>& changed);
+  /// Rebuild canon_dir_/canon_pages_ from (key, representative) pairs in
+  /// any order, sizing both once. Throws std::runtime_error on a key above
+  /// U+10FFFF.
+  void build_canonical_table(std::span<const unicode::CodePoint> keys,
+                             std::span<const unicode::CodePoint> reps);
+  /// Point canonical(cp) at `rep`, adding a page for cp's block if needed.
+  void set_canonical(unicode::CodePoint cp, unicode::CodePoint rep);
   /// Copy-on-write: rebuild the owned hash-map representation from the
   /// flat view and drop the backing reference. Preserves generation();
   /// resets the change log (exactly like a fresh finalize()).
@@ -217,13 +218,17 @@ class HomoglyphDb {
 
   std::unordered_map<std::uint64_t, Source> pair_source_;
   std::unordered_map<unicode::CodePoint, std::vector<unicode::CodePoint>> adjacency_;
-  /// Union-find component representatives (only code points that appear in
-  /// at least one pair; everything else is its own canonical form).
-  std::unordered_map<unicode::CodePoint, unicode::CodePoint> canonical_;
-  std::array<unicode::CodePoint, kDenseCanonical> canonical_latin1_{};
+  /// canonical() table, derived (never stored in the artifact): block
+  /// directory indexed by cp >> 8 -> page number; page p is
+  /// canon_pages_[p * 256, p * 256 + 256) and holds cp ^ canonical(cp) per
+  /// code point of the block. Page 0 is all zeros (identity) and serves
+  /// every block without a key; blocks past the directory are identity too.
+  std::vector<std::uint16_t> canon_dir_;
+  std::vector<unicode::CodePoint> canon_pages_;
   std::size_t canonical_classes_ = 0;
-  /// Inverse of canonical_: representative -> every member of its
-  /// component, maintained so merges touch only the losing component.
+  /// Representative -> every member of its component (the representative
+  /// included), for each component of >= 2 members: the owned-mode
+  /// canonical map. Merges touch only the losing component.
   std::unordered_map<unicode::CodePoint, std::vector<unicode::CodePoint>> component_members_;
   DbConfig config_;
   std::uint64_t generation_ = 0;
@@ -233,8 +238,8 @@ class HomoglyphDb {
   std::uint64_t change_log_base_ = 0;
   std::vector<std::vector<unicode::CodePoint>> canonical_change_log_;
 
-  /// View mode: const queries binary-search these spans instead of the
-  /// hash maps (which stay empty until materialize()). `backing_` owns the
+  /// View mode: pair and adjacency queries binary-search these spans
+  /// instead of the hash maps (which stay empty until materialize()). `backing_` owns the
   /// storage — typically the mmap'd DB artifact.
   bool view_ = false;
   std::shared_ptr<const void> backing_;

@@ -1,8 +1,10 @@
-// Allocation regression test for zone ingestion. Generating a registry
+// Allocation regression tests. Zone ingestion: generating a registry
 // zone and parsing it back must cost no heap allocation per domain, per
 // record or per chunk once the buffers are warm: the generator writes
 // record lines straight into a reused chunk, the reader tokenizes into
 // views and refills one record, and the batcher queues only IDN owners.
+// Skeleton join: a probe canonicalizes its label into a stack buffer, so
+// streaming more IDNs through a join costs no more allocations.
 // This TU replaces the global operator new to count allocations, so it is
 // a test binary of its own.
 #include <gtest/gtest.h>
@@ -11,10 +13,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <span>
+#include <string>
+#include <vector>
 
+#include "detect/engine.hpp"
 #include "internet/scenario.hpp"
 #include "measure/environment.hpp"
 #include "measure/scale_run.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -117,6 +124,45 @@ TEST(ZoneIngestAllocations, DoNotGrowWithZoneSize) {
   constexpr std::size_t kSlack = kRingChunks + 2 + 4;
   EXPECT_LE(large, small + kSlack) << "N: " << small << " allocations, 2N: " << large;
   std::printf("zone ingest allocations: N=%zu -> %zu, 2N -> %zu\n", kDomains, small,
+              large);
+}
+
+/// Allocations made by one cold inverted skeleton join (the references
+/// indexed, each of the first `count` IDNs probing once) that yields no
+/// match, so nothing but the probes scales with `count`.
+std::size_t join_allocations(std::span<const detect::IdnEntry> idns, std::size_t count) {
+  static const std::vector<std::string> refs{"google", "amazon", "facebook", "paypal"};
+  const detect::Engine engine{env().db_union,
+                              {.strategy = detect::Strategy::kSkeleton,
+                               .threads = 1,
+                               .cache = false,
+                               .join = detect::SkeletonJoin::kReferenceIndex}};
+  const auto before = g_allocations.load();
+  const auto response = engine.detect({.references = refs, .idns = idns.first(count)});
+  const auto after = g_allocations.load();
+  EXPECT_TRUE(response.stats.inverted_join);
+  EXPECT_TRUE(response.matches.empty());
+  return after - before;
+}
+
+TEST(SkeletonJoinAllocations, DoNotGrowWithIdnCount) {
+  // CJK labels of 1..63 code points (every 8th exactly 63, the most a
+  // probe holds without touching the heap): no reference shares a
+  // skeleton with any of them.
+  constexpr std::size_t kIdns = 2'000;
+  util::Rng rng{17};
+  std::vector<detect::IdnEntry> idns(2 * kIdns);
+  for (std::size_t i = 0; i < idns.size(); ++i) {
+    const std::size_t n = i % 8 == 0 ? 63 : 1 + rng.below(63);
+    for (std::size_t j = 0; j < n; ++j) {
+      idns[i].unicode.push_back(static_cast<unicode::CodePoint>(0x4E00 + rng.below(0x5000)));
+    }
+  }
+  static_cast<void>(join_allocations(idns, 16));  // warm function-local state
+  const auto small = join_allocations(idns, kIdns);
+  const auto large = join_allocations(idns, 2 * kIdns);
+  EXPECT_EQ(large, small) << "N: " << small << " allocations, 2N: " << large;
+  std::printf("skeleton join allocations: N=%zu -> %zu, 2N -> %zu\n", kIdns, small,
               large);
 }
 

@@ -191,6 +191,85 @@ TEST(DbArtifact, HomoglyphDbRoundTripsByteIdentically) {
   std::remove(path.c_str());
 }
 
+// --- canonical(): the page table against a naive oracle --------------------
+
+/// The naive canonical map: binary search over the sorted key/representative
+/// arrays of the database's flat form.
+class CanonicalOracle {
+ public:
+  explicit CanonicalOracle(const homoglyph::HomoglyphDb& db) : flat_{db.to_flat()} {}
+
+  [[nodiscard]] CodePoint operator()(CodePoint cp) const {
+    const auto& keys = flat_.canon_keys;
+    const auto it = std::lower_bound(keys.begin(), keys.end(), cp);
+    if (it == keys.end() || *it != cp) return cp;
+    return flat_.canon_reps[static_cast<std::size_t>(it - keys.begin())];
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return flat_.canon_keys.size(); }
+
+ private:
+  homoglyph::HomoglyphDb::Flat flat_;
+};
+
+/// canonical() against the oracle at every code point, U+0000..U+10FFFF,
+/// plus two values past the code space.
+void expect_canonical_matches_oracle(const homoglyph::HomoglyphDb& db,
+                                     const std::string& what) {
+  const CanonicalOracle oracle{db};
+  ASSERT_GT(oracle.size(), 0u) << what;
+  std::size_t mismatches = 0;
+  const auto check = [&](CodePoint cp) {
+    if (db.canonical(cp) == oracle(cp)) return;
+    if (mismatches++ == 0) {
+      ADD_FAILURE() << what << ": canonical(" << cp << ") = " << db.canonical(cp)
+                    << ", oracle " << oracle(cp);
+    }
+  };
+  for (CodePoint cp = 0; cp <= unicode::kMaxCodePoint; ++cp) check(cp);
+  check(0x110000);
+  check(0xFFFFFFFF);
+  EXPECT_EQ(mismatches, 0u) << what;
+}
+
+TEST(DbArtifact, CanonicalMatchesNaiveOracleOverTheWholeCodeSpace) {
+  auto owned = small_db();
+  const auto path = write_small_artifact("canon_oracle", small_simchar(), owned, {});
+  const auto artifact = db::DbArtifact::load(path);
+  auto view = artifact.homoglyph();
+  ASSERT_TRUE(view.is_view());
+  expect_canonical_matches_oracle(owned, "owned");
+  expect_canonical_matches_oracle(view, "view");
+
+  // The fixture's keys sit in blocks 0x00, 0x01, 0x04 and 0x05. The update
+  // merges two multi-member components ({a, U+0430} and the 'o' class),
+  // and adds pairs whose losers lie in blocks that had no page: U+0251 in
+  // block 0x02, inside the directory, and U+3044, past its end.
+  const simchar::HomoglyphPair pairs[] = {
+      {'a', 'o', 1}, {0x0250, 0x0251, 1}, {0x3042, 0x3044, 1}};
+  for (auto* db : {&owned, &view}) {
+    const auto result = db->apply_update(pairs);
+    EXPECT_EQ(result.pairs_added, 3u);
+    EXPECT_FALSE(db->is_view());
+    EXPECT_EQ(db->canonical(0x043E), CodePoint{'a'});
+    EXPECT_EQ(db->canonical(0x0251), CodePoint{0x0250});
+    EXPECT_EQ(db->canonical(0x3044), CodePoint{0x3042});
+  }
+  expect_canonical_matches_oracle(owned, "owned after apply_update");
+  expect_canonical_matches_oracle(view, "view after apply_update");
+
+  // SimChar growth: a fresh view this time, plus a new block (U+0561 in
+  // 0x05 has a page; U+0D20 in 0x0D does not).
+  auto grown_view = artifact.homoglyph();
+  const simchar::SimCharDb grown{{{'c', 0x0441, 1}, {0x0561, 0x0D20, 3}}};
+  for (auto* db : {&owned, &grown_view}) {
+    EXPECT_EQ(db->update_with_new_characters(grown).pairs_added, 2u);
+    EXPECT_EQ(db->canonical(0x0D20), CodePoint{0x0561});
+  }
+  expect_canonical_matches_oracle(owned, "owned after update_with_new_characters");
+  expect_canonical_matches_oracle(grown_view, "view after update_with_new_characters");
+}
+
 TEST(DbArtifact, ReferencesAndFingerprintRoundTrip) {
   const auto sim = small_simchar();
   const auto db = small_db();
@@ -430,14 +509,20 @@ class DbCorruption : public ::testing::Test {
   std::string mutated_path() const { return path_ + ".mut"; }
 
   /// Write `bytes` and expect the loader to reject them with a
-  /// std::runtime_error carrying a non-empty diagnostic.
-  void expect_rejected(const std::vector<char>& bytes, const std::string& what) {
+  /// std::runtime_error carrying a non-empty diagnostic (one that contains
+  /// `diagnostic`, when given).
+  void expect_rejected(const std::vector<char>& bytes, const std::string& what,
+                       const char* diagnostic = nullptr) {
     spit(mutated_path(), bytes);
     try {
       (void)db::DbArtifact::load(mutated_path());
       FAIL() << what << ": corrupt artifact loaded successfully";
     } catch (const std::runtime_error& e) {
       EXPECT_GT(std::strlen(e.what()), 0u) << what;
+      if (diagnostic != nullptr) {
+        EXPECT_NE(std::string{e.what()}.find(diagnostic), std::string::npos)
+            << what << ": " << e.what();
+      }
     }
   }
 
@@ -476,6 +561,46 @@ class DbCorruption : public ::testing::Test {
     std::memcpy(bytes.data() + 40, &table_checksum, 8);
     const auto checksum = db::fnv1a64(bytes.data(), 56);
     std::memcpy(bytes.data() + 56, &checksum, 8);
+  }
+
+  /// File offsets of the HGDB payload's u32 arrays. adj_cps, adj_offsets,
+  /// adj_data, canon_keys and canon_reps close the payload back to back
+  /// (no padding between u32 arrays), so they are found from its end.
+  struct HgdbArrays {
+    std::size_t adj_cps = 0, adj_data = 0, canon_keys = 0;
+    std::uint64_t adj_cp_count = 0, adj_data_count = 0, canon_count = 0;
+  };
+  HgdbArrays hgdb_arrays() const {
+    const auto at = entry_offset(db::kSecHomoglyph);
+    std::uint64_t offset = 0;
+    std::uint64_t size = 0;
+    std::memcpy(&offset, bytes_.data() + at + 8, 8);
+    std::memcpy(&size, bytes_.data() + at + 16, 8);
+    HgdbArrays a;  // counts: third, fourth and fifth u64 of the payload
+    std::memcpy(&a.adj_cp_count, bytes_.data() + offset + 16, 8);
+    std::memcpy(&a.adj_data_count, bytes_.data() + offset + 24, 8);
+    std::memcpy(&a.canon_count, bytes_.data() + offset + 32, 8);
+    a.canon_keys = offset + size - 8 * a.canon_count;
+    a.adj_data = a.canon_keys - 4 * a.adj_data_count;
+    a.adj_cps = a.adj_data - 4 * (a.adj_cp_count + 1) - 4 * a.adj_cp_count;
+    return a;
+  }
+
+  /// Overwrite the u32 at file offset `pos` inside the HGDB payload, then
+  /// fix up the payload, section-table and header checksums.
+  std::vector<char> patched_hgdb_u32(std::size_t pos, std::uint32_t value) const {
+    const auto at = entry_offset(db::kSecHomoglyph);
+    std::uint64_t offset = 0;
+    std::uint64_t size = 0;
+    std::memcpy(&offset, bytes_.data() + at + 8, 8);
+    std::memcpy(&size, bytes_.data() + at + 16, 8);
+    auto bytes = bytes_;
+    std::memcpy(bytes.data() + pos, &value, 4);
+    const auto payload_checksum =
+        db::fnv1a64(bytes.data() + offset, static_cast<std::size_t>(size));
+    std::memcpy(bytes.data() + at + 24, &payload_checksum, 8);
+    reseal(bytes);
+    return bytes;
   }
 
   homoglyph::HomoglyphDb db_;
@@ -590,6 +715,41 @@ TEST_F(DbCorruption, RejectsReferenceCountOverflow) {
   std::memcpy(bytes.data() + at + 24, &payload_checksum, 8);
   reseal(bytes);
   expect_rejected(bytes, "reference count overflow");
+}
+
+TEST_F(DbCorruption, RejectsCanonicalKeysPastUnicode) {
+  // Raise the largest (last) canonical key of the HGDB payload past
+  // U+10FFFF. The keys stay strictly ascending and every checksum is fixed
+  // up, so only the range check can reject the file; without it, adoption
+  // would size the canonical() block directory from the key (16 M entries
+  // for 0xFFFFFFFF).
+  const auto a = hgdb_arrays();
+  ASSERT_GT(a.canon_count, 0u);
+  const auto last_key = a.canon_keys + 4 * (a.canon_count - 1);
+  for (const std::uint32_t key : {0x110000u, 0xFFFFFFFFu}) {
+    expect_rejected(patched_hgdb_u32(last_key, key),
+                    "canonical key " + std::to_string(key), "canonical key above U+10FFFF");
+  }
+}
+
+TEST_F(DbCorruption, RejectsAdjacencyCodePointsPastUnicode) {
+  // An update materializes a view and rebuilds canonical()'s table from the
+  // adjacency characters, so they are range-checked at load like the
+  // canonical keys. Raise the largest (last) adjacency character, then
+  // one neighbour, past U+10FFFF, checksums fixed up: the file stays
+  // well-formed in every other respect.
+  const auto a = hgdb_arrays();
+  ASSERT_GT(a.adj_cp_count, 0u);
+  ASSERT_GT(a.adj_data_count, 0u);
+  const auto last_cp = a.adj_cps + 4 * (a.adj_cp_count - 1);
+  for (const std::uint32_t cp : {0x110000u, 0xFFFFFFFFu}) {
+    expect_rejected(patched_hgdb_u32(last_cp, cp),
+                    "adjacency character " + std::to_string(cp),
+                    "adjacency character above U+10FFFF");
+    expect_rejected(patched_hgdb_u32(a.adj_data, cp),
+                    "adjacency neighbour " + std::to_string(cp),
+                    "adjacency neighbour above U+10FFFF");
+  }
 }
 
 TEST_F(DbCorruption, RejectsArtifactsMissingMandatorySections) {

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "detect/candidates.hpp"
 #include "detect/detector.hpp"
@@ -9,6 +12,7 @@
 #include "detect/skeleton_index.hpp"
 #include "font/paper_font.hpp"
 #include "idna/idna.hpp"
+#include "kernels/kernels.hpp"
 #include "util/rng.hpp"
 
 namespace sham::detect {
@@ -956,6 +960,157 @@ TEST(SkeletonIndex, SplitStateSurvivesIncrementalRehash) {
   const auto merged = index.probe(index.hashes_of(labels[0]));
   ASSERT_FALSE(merged.empty());
   EXPECT_EQ(merged.size(), 7u);  // all labels, one canonical stream
+}
+
+/// View-mode copy of `flat`'s index, adopted in place from the in-memory
+/// arrays (the artifact loader hands adopt_view the same spans over a
+/// mapped file). `flat` must outlive the view.
+db::SkeletonFlatView view_of(const db::SkeletonFlat& flat) {
+  return {.hash_mask = flat.hash_mask,
+          .max_bucket_occupancy = flat.max_bucket_occupancy,
+          .non_empty_buckets = flat.non_empty_buckets,
+          .split_buckets = flat.split_buckets,
+          .entry_hashes = flat.entry_hashes,
+          .entry_h2 = flat.entry_h2,
+          .bucket_hashes = flat.bucket_hashes,
+          .bucket_offsets = flat.bucket_offsets,
+          .bucket_entries = flat.bucket_entries,
+          .bucket_child_start = flat.bucket_child_start,
+          .child_h2 = flat.child_h2,
+          .child_offsets = flat.child_offsets,
+          .child_entries = flat.child_entries};
+}
+
+/// Reference answer for lookup() that bypasses lookup's one-label hashing
+/// and probe_split: the target index's candidates are read from its flat
+/// arrays, keyed by each probe label's hashes as build() stored them in an
+/// index over the probe labels (build()'s four-lane kernel pass).
+class FlatOracle {
+ public:
+  explicit FlatOracle(const db::SkeletonFlat& target) : target_{target} {
+    for (std::size_t b = 0; b < target.bucket_hashes.size(); ++b) {
+      if (target.bucket_child_start[b] != target.bucket_child_start[b + 1]) {
+        split_.insert(target.bucket_hashes[b]);
+      }
+    }
+    for (std::uint32_t e = 0; e < target.entry_hashes.size(); ++e) {
+      by_primary_[target.entry_hashes[e]].push_back(e);
+    }
+  }
+
+  /// Candidates, ascending, for the label behind entry `j` of `probes`.
+  std::vector<std::uint32_t> candidates(const db::SkeletonFlat& probes,
+                                        std::size_t j) const {
+    const auto it = by_primary_.find(probes.entry_hashes[j]);
+    if (it == by_primary_.end()) return {};
+    if (!split_.contains(it->first)) return it->second;
+    std::vector<std::uint32_t> out;
+    for (const auto e : it->second) {
+      if (target_.entry_h2[e] == probes.entry_h2[j]) out.push_back(e);
+    }
+    return out;
+  }
+
+ private:
+  const db::SkeletonFlat& target_;
+  std::unordered_set<std::uint64_t> split_;
+  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> by_primary_;
+};
+
+TEST(SkeletonIndex, LookupEqualsSplitAwareProbeOfHashes) {
+  const auto& w = paper_font_workload();
+  // Probe labels: every reference and IDN of the workload, plus seeded
+  // random ASCII and Unicode labels, a third of them longer than lookup's
+  // 63-code-point stack buffer.
+  std::vector<std::string> ascii = w.refs;
+  std::vector<U32String> unicode_labels;
+  for (const auto& idn : w.idns) unicode_labels.push_back(idn.unicode);
+  util::Rng rng{20261020};
+  for (int i = 0; i < 300; ++i) {
+    const std::size_t n = 1 + rng.below(i % 3 == 0 ? 150 : 20);
+    std::string a;
+    U32String u;
+    for (std::size_t j = 0; j < n; ++j) {
+      const auto letter = static_cast<char>('a' + rng.below(26));
+      a += letter;
+      const auto subs = w.db.homoglyphs_of(static_cast<CodePoint>(letter));
+      u.push_back(!subs.empty() && rng.below(2) == 0
+                      ? subs[rng.below(subs.size())]
+                      : static_cast<CodePoint>(rng.below(0x3100)));
+    }
+    ascii.push_back(a);
+    unicode_labels.push_back(u);
+  }
+  const std::vector<U32String> unicode_refs{unicode_labels.begin(),
+                                            unicode_labels.begin() + 400};
+
+  // lookup(label) == probe(hashes_of(label)) on `index`, both equal the
+  // flat oracle's answer, and both equal the owned index's lookup when
+  // `index` is its adopted view. `ascii_hashes` / `unicode_hashes` are the
+  // flat form of indexes built over the probe labels, with the same options.
+  std::size_t hits = 0;
+  const auto check = [&](const SkeletonIndex& index, const SkeletonIndex& owned,
+                         const FlatOracle& oracle, const db::SkeletonFlat& ascii_hashes,
+                         const db::SkeletonFlat& unicode_hashes, const std::string& what) {
+    for (std::size_t i = 0; i < ascii.size(); ++i) {
+      const auto& label = ascii[i];
+      const auto got = index.lookup(label);
+      ASSERT_TRUE(std::ranges::equal(got, index.probe(index.hashes_of(label))))
+          << what << ": " << label;
+      ASSERT_TRUE(std::ranges::equal(got, oracle.candidates(ascii_hashes, i)))
+          << what << ": " << label;
+      ASSERT_TRUE(std::ranges::equal(got, owned.lookup(label))) << what << ": " << label;
+      hits += got.empty() ? 0 : 1;
+    }
+    for (std::size_t i = 0; i < unicode_labels.size(); ++i) {
+      const auto& label = unicode_labels[i];
+      const auto got = index.lookup(label);
+      ASSERT_TRUE(std::ranges::equal(got, index.probe(index.hashes_of(label))))
+          << what << ": unicode label " << i;
+      ASSERT_TRUE(std::ranges::equal(got, oracle.candidates(unicode_hashes, i)))
+          << what << ": unicode label " << i;
+      ASSERT_TRUE(std::ranges::equal(got, owned.lookup(label)))
+          << what << ": unicode label " << i;
+      hits += got.empty() ? 0 : 1;
+    }
+  };
+  // Owned and adopted, over IDNs, ASCII and Unicode references; whole
+  // buckets, split buckets, and a 4-bit primary hash (forced collisions)
+  // with and without splitting.
+  const std::pair<std::string, SkeletonIndexOptions> configs[] = {
+      {"default", {}},
+      {"split", {.max_bucket_occupancy = 2}},
+      {"4-bit", {.hash_bits = 4}},
+      {"4-bit split", {.hash_bits = 4, .max_bucket_occupancy = 3}},
+  };
+  for (const auto level : kernels::supported_levels()) {
+    const kernels::ScopedKernelLevel pin{level};
+    const std::string at{kernels::level_name(level)};
+    for (const auto& [name, options] : configs) {
+      const SkeletonIndex indexes[] = {
+          {w.db, std::span<const IdnEntry>{w.idns}, options},
+          {w.db, std::span<const std::string>{w.refs}, options},
+          {w.db, std::span<const U32String>{unicode_refs}, options},
+      };
+      const auto ascii_hashes =
+          SkeletonIndex{w.db, std::span<const std::string>{ascii}, options}.to_flat();
+      const auto unicode_hashes =
+          SkeletonIndex{w.db, std::span<const U32String>{unicode_labels}, options}
+              .to_flat();
+      for (const auto& index : indexes) {
+        if (options.max_bucket_occupancy > 0 && options.hash_bits < 64) {
+          EXPECT_GT(index.split_bucket_count(), 0u) << at << " " << name;
+        }
+        const auto flat = index.to_flat();
+        const FlatOracle oracle{flat};
+        check(index, index, oracle, ascii_hashes, unicode_hashes, at + " owned " + name);
+        const auto view = SkeletonIndex::adopt_view(w.db, view_of(flat), nullptr);
+        ASSERT_TRUE(view.is_view());
+        check(view, index, oracle, ascii_hashes, unicode_hashes, at + " view " + name);
+      }
+    }
+  }
+  EXPECT_GT(hits, 0u);
 }
 
 // --- Uniform DetectRequest boundary validation ------------------------------

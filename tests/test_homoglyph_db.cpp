@@ -197,14 +197,15 @@ TEST(HomoglyphDb, CanonicalClosureIsOverApproximate) {
 
 TEST(HomoglyphDb, CanonicalIdentityOutsidePairGraph) {
   const auto db = make_db();
-  EXPECT_EQ(db.canonical('z'), static_cast<CodePoint>('z'));      // Latin-1 fast path
-  EXPECT_EQ(db.canonical(0x2603), 0x2603u);                       // map path (snowman)
-  EXPECT_EQ(db.canonical(0x10FFFF), 0x10FFFFu);
+  EXPECT_EQ(db.canonical('z'), static_cast<CodePoint>('z'));  // block with a page
+  EXPECT_EQ(db.canonical(0x2603), 0x2603u);                   // block without one
+  EXPECT_EQ(db.canonical(0x10FFFF), 0x10FFFFu);               // past the directory
+  EXPECT_EQ(db.canonical(0xFFFFFFFF), 0xFFFFFFFFu);
 }
 
 TEST(HomoglyphDb, CanonicalDenseFastPathAgreesWithSelf) {
-  // Every Latin-1 code point answers identically whether it went through
-  // the flat array or would have gone through the map.
+  // Every Latin-1 code point maps to a representative that maps to
+  // itself, and only code points in the pair graph move.
   const auto db = make_db();
   for (CodePoint cp = 0; cp < 0x100; ++cp) {
     const auto rep = db.canonical(cp);
@@ -230,6 +231,52 @@ TEST(HomoglyphDb, EmptyDbCanonicalIsIdentity) {
   EXPECT_EQ(db.canonical('a'), static_cast<CodePoint>('a'));
   EXPECT_EQ(db.canonical(0x0430), 0x0430u);
   EXPECT_EQ(db.canonical_class_count(), 0u);
+}
+
+TEST(HomoglyphDb, CodePointsPastUnicodeNeverEnterThePairGraph) {
+  // canonical()'s page table covers U+0000..U+10FFFF; larger values are
+  // rejected by the text parser and dropped by every other way in.
+  EXPECT_THROW((void)HomoglyphDb::parse("U+110000 U+0061 UC\n"), std::invalid_argument);
+  DbConfig config;
+  config.idna_only = false;
+  HomoglyphDb db{simchar::SimCharDb{{{'a', 0x110000, 1}}},
+                 unicode::ConfusablesDb::embedded(), config};
+  EXPECT_FALSE(db.are_homoglyphs('a', 0x110000));
+  const simchar::HomoglyphPair pairs[] = {{'b', 0xFFFFFFFF, 1}, {'b', 0x2603, 1}};
+  EXPECT_EQ(db.apply_update(pairs).pairs_added, 1u);
+  EXPECT_EQ(db.canonical(0xFFFFFFFF), 0xFFFFFFFFu);
+  EXPECT_EQ(db.canonical(0x2603), static_cast<CodePoint>('b'));
+
+  // Adoption refuses such a key outright.
+  const std::uint32_t keys[] = {'a', 0xFFFFFFFF};
+  const std::uint32_t reps[] = {'a', 'a'};
+  HomoglyphDb::FlatView flat;
+  flat.canon_keys = keys;
+  flat.canon_reps = reps;
+  const std::uint32_t offsets[] = {0};
+  flat.adj_offsets = offsets;
+  EXPECT_THROW((void)HomoglyphDb::adopt_view(flat, nullptr), std::runtime_error);
+
+  // It refuses an adjacency character or neighbour past U+10FFFF too: an update
+  // would materialize the view and rebuild the table from the adjacency.
+  const std::uint32_t ok_keys[] = {'a', 'b'};
+  const std::uint32_t ok_reps[] = {'a', 'a'};
+  flat.canon_keys = ok_keys;
+  flat.canon_reps = ok_reps;
+  const std::uint32_t adj_offsets[] = {0, 1, 2};
+  flat.adj_offsets = adj_offsets;
+  for (const std::uint32_t bad : {0x110000u, 0xFFFFFFFFu}) {
+    const std::uint32_t past_cps[] = {'a', bad};
+    const std::uint32_t past_data[] = {bad, 'a'};
+    flat.adj_cps = past_cps;
+    flat.adj_data = past_data;
+    EXPECT_THROW((void)HomoglyphDb::adopt_view(flat, nullptr), std::runtime_error) << bad;
+    const std::uint32_t ok_cps[] = {'a', 'b'};
+    const std::uint32_t past_neighbour[] = {'b', bad};
+    flat.adj_cps = ok_cps;
+    flat.adj_data = past_neighbour;
+    EXPECT_THROW((void)HomoglyphDb::adopt_view(flat, nullptr), std::runtime_error) << bad;
+  }
 }
 
 TEST(HomoglyphDb, EmptyDb) {

@@ -6,7 +6,9 @@
 #   1. the whole suite, ctest -j8 --repeat until-fail:10 (temp-file or
 #      scheduling races show up here);
 #   2. ASan and UBSan builds of test_dns (including the zone-reader
-#      mutation loop), test_zone_gen, test_scale and test_alloc;
+#      mutation loop), test_zone_gen, test_scale, test_alloc, and of
+#      test_homoglyph_db, test_detector and test_db (the canonical() page
+#      table, the skeleton probe and the artifact-loader corruption suite);
 #   3. a TSan build of test_scale (the chunk ring and shard queues).
 #
 # Exits non-zero on the first failure.
@@ -18,7 +20,7 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR="${BUILD_DIR:-build}"
 JOBS="${JOBS:-4}"  # compile jobs
-SUITES="test_dns test_zone_gen test_scale test_alloc"
+SUITES="test_dns test_zone_gen test_scale test_alloc test_homoglyph_db test_detector test_db"
 
 # Configure and build quietly; on failure show the tail of the log.
 build() {
